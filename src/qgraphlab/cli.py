@@ -109,7 +109,8 @@ def _cmd_qaoa(args, config: datastore.RunConfig) -> int:
     starts = args.starts if args.starts is not None else config.starts
     seed = args.seed if args.seed is not None else config.seed
     rows = pipeline.qaoa_result_rows(graphs, args.p, starts, seed,
-                                     workers=args.workers or config.workers or None)
+                                     workers=args.workers or config.workers or None,
+                                     delta_eps=config.delta_eps)
     datastore.write_qaoa_results(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK

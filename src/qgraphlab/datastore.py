@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .analysis import GroupAverageRow
 from .graphs import Graph, encode_graph6
-from .qaoa import AngleVector, OptimizerStats, QaoaOutcome
+from .qaoa import DELTA_EPS, AngleVector, OptimizerStats, QaoaOutcome
 
 __all__ = [
     "SchemaError",
@@ -427,7 +427,7 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "."
     workers: int = 0  # 0 = available parallelism
-    delta_eps: float = 1e-9
+    delta_eps: float = DELTA_EPS
 
     def __post_init__(self):
         if not 3 <= self.n_min <= self.n_max <= 8:
@@ -436,6 +436,8 @@ class RunConfig:
             raise ValueError("p_max must be within 0..3")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if not self.delta_eps > 0:
+            raise ValueError("delta_eps must be > 0")
 
 
 _CONFIG_TYPES = {

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .datastore import DatasetRow, QaoaResultRow, build_dataset_row
 from .graphs import Graph, decode_graph6, encode_graph6
-from .qaoa import maxcut_bruteforce, run_depth_series
+from .qaoa import DELTA_EPS, maxcut_bruteforce, run_depth_series
 from .structure import structure_profile
 from .symmetry import automorphism_group
 
@@ -37,11 +37,11 @@ def _props_task(args: tuple[str, int]) -> DatasetRow:
     return build_dataset_row(g, structure_profile(g), automorphism_group(g))
 
 
-def _qaoa_task(args: tuple[str, int, int, int, int]) -> list[QaoaResultRow]:
-    text, graph_id, pmax, starts, seed = args
+def _qaoa_task(args: tuple[str, int, int, int, int, float]) -> list[QaoaResultRow]:
+    text, graph_id, pmax, starts, seed, delta_eps = args
     g = decode_graph6(text).with_id(graph_id)
     mc = maxcut_bruteforce(g)
-    outcomes = run_depth_series(g, pmax, starts=starts, seed=seed)
+    outcomes = run_depth_series(g, pmax, starts=starts, seed=seed, delta_eps=delta_eps)
     return [QaoaResultRow.from_outcome(g, mc, o, starts, seed) for o in outcomes]
 
 
@@ -60,8 +60,9 @@ def dataset_rows(graphs: list[Graph], workers: int | None = None) -> list[Datase
 
 
 def qaoa_result_rows(graphs: list[Graph], pmax: int, starts: int, seed: int,
-                     workers: int | None = None) -> list[QaoaResultRow]:
+                     workers: int | None = None,
+                     delta_eps: float = DELTA_EPS) -> list[QaoaResultRow]:
     """Depth 0..pmax QAOA rows for a batch of graphs (sorted by id, then p)."""
-    jobs = [(encode_graph6(g), g.id, pmax, starts, seed) for g in graphs]
+    jobs = [(encode_graph6(g), g.id, pmax, starts, seed, delta_eps) for g in graphs]
     nested = _run(_qaoa_task, jobs, resolve_workers(workers))
     return sorted((row for rows in nested for row in rows), key=lambda r: (r.graph_id, r.p))

@@ -1,11 +1,22 @@
 """Exact MaxCut and QAOA statevector machinery.
 
-Bit i of a basis index z is the side of vertex i.  The phase layer
-multiplies amplitude[z] by exp(-i * gamma * C(z)) where C(z) is the plain
-cut-edge count, and the mixing layer applies
-[[cos b, -i sin b], [-i sin b, cos b]] across every qubit.  Expectations
-and probabilities always come from the statevector; there is no analytic
-shortcut path.
+Bit i of a basis index z is the side of vertex i.  A layer applies
+exp(-i gamma C), C(z) the plain cut-edge count, then exp(-i beta sum_q X_q),
+starting from the uniform superposition.  One per-graph kernel, _Objective,
+serves evolve, the optimizer and the depth-1 grid oracle, on two exact
+reductions:
+
+* Z2 halving: C(z) = C(~z), and the uniform start and the mixer commute with
+  X on every qubit, so amplitude[~z] = amplitude[z].  The kernel keeps only
+  the half state z < 2^(n-1) (vertex n-1 on side 0); the full vector is
+  concatenate(half, half[::-1]) and <C> = 2 sum_z C(z) |half[z]|^2.
+* Hadamard-basis mixer: on the half state the mixer is
+  H diag(exp(-i beta w)) H, with H the orthonormal Sylvester Hadamard on n-1
+  qubits and w[x] = n - 2(|x| + |x| mod 2).  H is a real matrix product on
+  the complex-as-real view, in Kronecker factors of at most 2^7.
+
+States carry leading batch axes, so the grid oracle evolves all its cells
+at once.  Expectations and probabilities always come from the statevector.
 
 Angle optimization is multi-start quasi-Newton (L-BFGS-B on the exact
 adjoint gradient); the depth-1 case is cross-checked against a dense
@@ -17,10 +28,20 @@ results.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+
+# L-BFGS-B makes tiny BLAS calls through scipy's own OpenBLAS, whose threads
+# busy-wait between calls: an optimization burns a second core, runs up to 3x
+# slower after a thread sleeps, and its wall time follows that core's load.
+# The library reads its thread count once, at load; a caller's count wins.
+_CHOSEN_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+from scipy.optimize import minimize  # noqa: E402
+if _CHOSEN_THREADS is None:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .graphs import Graph, UnsupportedSizeError, canonical_form
 
@@ -44,10 +65,11 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 MAX_SIM_N = 16
 SUPPORTED_DEPTHS = (1, 2, 3)
-DELTA_EPS = 1e-9  # remaining gap below this makes the delta ratio undefined
+DELTA_EPS = 1e-9  # default: a remaining gap below this makes the delta ratio undefined
 DEFAULT_STARTS = 200
 MAX_ITER = 500
 OBJECTIVE_TOL = 1e-8
+HADAMARD_BLOCK_QUBITS = 7  # largest dense Hadamard factor is 2^7 x 2^7
 
 
 @dataclass(frozen=True)
@@ -122,11 +144,9 @@ def cost_vector(g: Graph) -> np.ndarray:
     """Cut value of every assignment: entry z counts edges with unequal bits."""
     if g.n > MAX_SIM_N:
         raise UnsupportedSizeError(f"cost vector supports n <= {MAX_SIM_N}, got {g.n}")
-    z = np.arange(1 << g.n, dtype=np.int64)
-    cost = np.zeros(1 << g.n, dtype=np.int64)
-    for u, v in g.edges():
-        cost += (z >> u & 1) ^ (z >> v & 1)
-    return cost
+    bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n) & 1).astype(np.uint8)
+    u, v = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
+    return (bits[:, u] != bits[:, v]).sum(axis=1, dtype=np.int64)
 
 
 def maxcut_bruteforce(g: Graph) -> MaxCutSummary:
@@ -138,37 +158,109 @@ def maxcut_bruteforce(g: Graph) -> MaxCutSummary:
 
 
 # ---------------------------------------------------------------------------
-# Statevector evolution
+# The statevector kernel
 # ---------------------------------------------------------------------------
 
 
-def _apply_mixer(sv: np.ndarray, beta: float, n: int) -> np.ndarray:
-    """Apply exp(-i beta X) on every qubit of sv (any leading batch shape)."""
-    c = np.cos(beta)
-    s = np.sin(beta)
-    lead = sv.shape[:-1]
-    for q in range(n):
-        shaped = sv.reshape(lead + (1 << (n - q - 1), 2, 1 << q))
-        a0 = shaped[..., 0, :].copy()
-        a1 = shaped[..., 1, :]
-        shaped[..., 0, :] = c * a0 - 1j * s * a1
-        shaped[..., 1, :] = c * a1 - 1j * s * a0
-    return sv
+def _hadamard_factors(qubits: int) -> list[np.ndarray]:
+    """Orthonormal Sylvester Hadamard on `qubits` qubits as near-equal
+    Kronecker factors of at most HADAMARD_BLOCK_QUBITS qubits each."""
+    blocks = max(1, -(-qubits // HADAMARD_BLOCK_QUBITS))
+    factors = []
+    for k in (qubits // blocks + (i < qubits % blocks) for i in range(blocks)):
+        h = np.empty((1 << k, 1 << k))
+        h[0, 0] = 2.0 ** (-k / 2)
+        for s in (1 << q for q in range(k)):  # [[A, A], [A, -A]] from the top-left A
+            h[:s, s:2 * s] = h[:s, :s]
+            h[s:2 * s, :2 * s] = h[:s, :2 * s]
+            h[s:2 * s, s:2 * s] *= -1
+        factors.append(h)
+    return factors
+
+
+class _Objective:
+    """The QAOA kernel of one graph on the flip-symmetric half state.
+
+    states() evolves a batch of angle sets; value_and_grad() gives <C> and
+    its exact gradient at theta = (gammas, betas) by the adjoint recursion:
+    a forward pass that keeps each layer's states, then the cost-weighted
+    adjoint is peeled back layer by layer.
+    """
+
+    def __init__(self, g: Graph):
+        half = 1 << (g.n - 1)
+        x = np.arange(half)
+        ones = sum((x >> q & 1 for q in range(g.n - 1)), np.zeros_like(x))
+        self.cost = cost_vector(g)[:half].astype(float)
+        self.weight = g.n - 2.0 * (ones + ones % 2)  # sum_q X_q in the Hadamard basis
+        self.factors = _hadamard_factors(g.n - 1)
+        self.uniform = np.full(half, 2.0 ** (-g.n / 2), dtype=complex)
+        self.evaluations = 0
+
+    def _hadamard(self, psi: np.ndarray) -> np.ndarray:
+        """H along the last axis of a C-contiguous complex batch (a new array)."""
+        x = psi.view(float)
+        right = x.shape[-1]
+        for h in self.factors:
+            right //= h.shape[0]
+            x = np.matmul(h, x.reshape(-1, h.shape[0], right))
+        return x.reshape(psi.shape[:-1] + (-1,)).view(complex)
+
+    def states(self, gammas, betas, saved: list | None = None) -> np.ndarray:
+        """Half states after the layers.  Angle arrays of shape (p, *batch)
+        broadcast together and give states of shape (*batch, 2^(n-1)).
+        `saved` collects each layer's (phased state, mixed Hadamard-basis state)."""
+        psi = self.uniform
+        for gamma, beta in zip(np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float)):
+            phased = psi * np.exp(-1j * np.multiply.outer(gamma, self.cost))
+            mixed = self._hadamard(phased) * np.exp(-1j * np.multiply.outer(beta, self.weight))
+            psi = self._hadamard(mixed)
+            if saved is not None:
+                saved.append((phased, mixed))
+        return psi
+
+    def expectation(self, psi: np.ndarray):
+        return 2.0 * (np.abs(psi) ** 2 @ self.cost)
+
+    def value(self, theta) -> float:
+        self.evaluations += 1
+        p = len(theta) // 2
+        return float(self.expectation(self.states(theta[:p], theta[p:])))
+
+    def value_and_grad(self, theta):
+        self.evaluations += 1
+        theta = np.asarray(theta, dtype=float)
+        p = theta.size // 2
+        gammas, betas = theta[:p], theta[p:]
+        saved = []
+        sv = self.states(gammas, betas, saved)
+        # Half-state inner products are half the full ones, and sum_q X_q is
+        # diag(weight) in the Hadamard basis, so d<C>/dbeta =
+        # 2 Im(<adjoint| sum_q X_q |state>) is a diagonal product there.
+        grad = np.zeros(2 * p)
+        adjoint = self.cost * sv
+        for layer in range(p - 1, -1, -1):
+            phased, mixed = saved[layer]
+            adjoint = self._hadamard(adjoint)
+            grad[p + layer] = 4.0 * np.imag(np.vdot(adjoint, self.weight * mixed))
+            adjoint = self._hadamard(adjoint * np.exp(1j * betas[layer] * self.weight))
+            grad[layer] = 4.0 * np.imag(np.vdot(adjoint, self.cost * phased))
+            adjoint *= np.exp(1j * gammas[layer] * self.cost)
+        return float(self.expectation(sv)), grad
+
+    def neg_value_and_grad(self, theta):
+        value, grad = self.value_and_grad(theta)
+        return -value, -grad
 
 
 def evolve(g: Graph, angles: AngleVector) -> np.ndarray:
-    """Statevector after p QAOA layers from the uniform superposition."""
-    cost = cost_vector(g)
-    dim = 1 << g.n
-    sv = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    for gamma, beta in zip(angles.gammas, angles.betas):
-        sv = sv * np.exp(-1j * gamma * cost)
-        sv = _apply_mixer(sv, beta, g.n)
-    return sv
+    """Full 2^n statevector after p QAOA layers from the uniform superposition."""
+    half = _Objective(g).states(angles.gammas, angles.betas)
+    return np.concatenate([half, half[::-1]])
 
 
 def expectation(g: Graph, sv: np.ndarray) -> float:
-    """<C> of a statevector."""
+    """<C> of a full statevector."""
     cost = cost_vector(g)
     return float(np.real(np.dot(cost, np.abs(sv) ** 2)))
 
@@ -176,69 +268,6 @@ def expectation(g: Graph, sv: np.ndarray) -> float:
 def prob_cmax(g: Graph, sv: np.ndarray, mc: MaxCutSummary) -> float:
     """Total probability of measuring an optimal assignment."""
     return float((np.abs(sv[mc.optimal_mask]) ** 2).sum())
-
-
-# ---------------------------------------------------------------------------
-# Objective with exact adjoint gradient
-# ---------------------------------------------------------------------------
-
-
-class _Objective:
-    """<C>(theta) and its gradient for one graph, theta = (gammas, betas).
-
-    The gradient is the adjoint-state recursion: one forward pass, then the
-    layers are peeled off the state and the cost-weighted adjoint together,
-    which costs a small constant times the forward evaluation.
-    """
-
-    def __init__(self, g: Graph):
-        self.n = g.n
-        self.cost = cost_vector(g).astype(float)
-        self.dim = 1 << g.n
-        self.uniform = np.full(self.dim, 1.0 / np.sqrt(self.dim), dtype=complex)
-        self.evaluations = 0
-
-    def _forward(self, gammas, betas):
-        sv = self.uniform.copy()
-        for gamma, beta in zip(gammas, betas):
-            sv *= np.exp(-1j * gamma * self.cost)
-            _apply_mixer(sv, beta, self.n)
-        return sv
-
-    def value(self, theta) -> float:
-        self.evaluations += 1
-        p = len(theta) // 2
-        sv = self._forward(theta[:p], theta[p:])
-        return float(np.real(np.dot(self.cost, np.abs(sv) ** 2)))
-
-    def value_and_grad(self, theta):
-        self.evaluations += 1
-        theta = np.asarray(theta, dtype=float)
-        p = theta.size // 2
-        gammas, betas = theta[:p], theta[p:]
-        sv = self._forward(gammas, betas)
-        value = float(np.real(np.dot(self.cost, np.abs(sv) ** 2)))
-
-        grad = np.zeros(2 * p)
-        pair = np.stack([sv, self.cost * sv])  # [state, adjoint]
-        for layer in range(p - 1, -1, -1):
-            # d<C>/dbeta = 2 Im(<adjoint| sum_q X_q |state>), taken before
-            # unwinding this layer's mixer
-            flipped = np.zeros_like(pair[0])
-            for q in range(self.n):
-                shaped = pair[0].reshape(1 << (self.n - q - 1), 2, 1 << q)
-                out = flipped.reshape(1 << (self.n - q - 1), 2, 1 << q)
-                out[:, 0, :] += shaped[:, 1, :]
-                out[:, 1, :] += shaped[:, 0, :]
-            grad[p + layer] = 2.0 * np.imag(np.vdot(pair[1], flipped))
-            _apply_mixer(pair, -betas[layer], self.n)
-            grad[layer] = 2.0 * np.imag(np.vdot(pair[1], self.cost * pair[0]))
-            pair *= np.exp(1j * gammas[layer] * self.cost)
-        return value, grad
-
-    def neg_value_and_grad(self, theta):
-        value, grad = self.value_and_grad(theta)
-        return -value, -grad
 
 
 # ---------------------------------------------------------------------------
@@ -252,60 +281,43 @@ def _start_rng(seed: int, canon: str, start_index: int) -> np.random.Generator:
 
 
 def _polish(objective: _Objective, theta0: np.ndarray) -> tuple[float, np.ndarray]:
-    res = minimize(
-        objective.neg_value_and_grad,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": MAX_ITER, "ftol": OBJECTIVE_TOL, "gtol": 1e-9},
-    )
+    res = minimize(objective.neg_value_and_grad, theta0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": MAX_ITER, "ftol": OBJECTIVE_TOL, "gtol": 1e-9})
     value0 = objective.value(theta0)
     if -res.fun >= value0:
         return float(-res.fun), res.x
     return value0, theta0
 
 
-def _best_of_starts(g: Graph, p: int, starts: int, seed: int, extra_starts=()):
-    """Run `starts` seeded local optimizations plus any extra start points."""
-    objective = _Objective(g)
-    canon = canonical_form(g)
-    best_value = -np.inf
-    best_theta = None
-    best_start = 0
-    for idx in range(starts):
-        rng = _start_rng(seed, canon, idx)
-        theta0 = np.concatenate([rng.uniform(0, TWO_PI, p), rng.uniform(0, np.pi, p)])
+def _best_of_starts(objective: _Objective, canon: str, p: int, starts: int, seed: int,
+                    extra_starts=()):
+    """Run `starts` seeded local optimizations, then one from each extra
+    start point (extra point j has start index starts + j)."""
+    rngs = (_start_rng(seed, canon, idx) for idx in range(starts))
+    points = [np.concatenate([r.uniform(0, TWO_PI, p), r.uniform(0, np.pi, p)]) for r in rngs]
+    best_value, best_theta, best_start = -np.inf, None, 0
+    for idx, theta0 in enumerate(points + [np.asarray(t, dtype=float) for t in extra_starts]):
         value, theta = _polish(objective, theta0)
         if value > best_value:
             best_value, best_theta, best_start = value, theta, idx
-    for j, theta0 in enumerate(extra_starts):
-        value, theta = _polish(objective, np.asarray(theta0, dtype=float))
-        if value > best_value:
-            best_value, best_theta, best_start = value, theta, starts + j
-    return best_value, best_theta, best_start, objective.evaluations
+    return best_value, best_theta, best_start
 
 
-def _outcome(g: Graph, mc: MaxCutSummary, p: int, value, theta, stats) -> QaoaOutcome:
+def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
+             stats: OptimizerStats) -> QaoaOutcome:
     angles = AngleVector.from_flat(theta) if p else AngleVector((), ())
-    sv = evolve(g, angles)
-    exp_c = min(expectation(g, sv), float(mc.cmax))
-    return QaoaOutcome(
-        graph_id=g.id,
-        p=p,
-        best_angles=angles,
-        exp_c=exp_c,
-        prob_cmax=prob_cmax(g, sv, mc),
-        ratio=exp_c / mc.cmax,
-        delta_ratio=None,
-        optimizer_stats=stats,
-    )
+    sv = objective.states(angles.gammas, angles.betas)
+    exp_c = min(float(objective.expectation(sv)), float(mc.cmax))
+    prob = 2.0 * float((np.abs(sv[objective.cost == mc.cmax]) ** 2).sum())
+    return QaoaOutcome(graph_id=g.id, p=p, best_angles=angles, exp_c=exp_c, prob_cmax=prob,
+                       ratio=exp_c / mc.cmax, delta_ratio=None, optimizer_stats=stats)
 
 
 def uniform_outcome(g: Graph, mc: MaxCutSummary | None = None) -> QaoaOutcome:
     """Depth-0 metrics: the uniform superposition, no parameters."""
     if mc is None:
         mc = maxcut_bruteforce(g)
-    return _outcome(g, mc, 0, None, None, OptimizerStats("uniform", 0, -1, 0))
+    return _outcome(g, _Objective(g), mc, 0, None, OptimizerStats("uniform", 0, -1, 0))
 
 
 def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 0,
@@ -320,13 +332,15 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
     if starts < 1:
         raise ValueError("starts must be >= 1")
     mc = maxcut_bruteforce(g)
-    value, theta, best_start, evals = _best_of_starts(g, p, starts, seed, extra_starts)
+    objective = _Objective(g)
+    value, theta, best_start = _best_of_starts(objective, canonical_form(g), p, starts, seed,
+                                               extra_starts)
     if p == 1:
         gamma, beta, grid_value = grid_scan_p1(g)
         if grid_value > value:
             value, theta, best_start = grid_value, np.array([gamma, beta]), -1
-    stats = OptimizerStats("L-BFGS-B+adjoint", starts, best_start, evals)
-    return _outcome(g, mc, p, value, theta, stats)
+    stats = OptimizerStats("L-BFGS-B+adjoint", starts, best_start, objective.evaluations)
+    return _outcome(g, objective, mc, p, theta, stats)
 
 
 def grid_scan_p1(g: Graph, grid: int = 64) -> tuple[float, float, float]:
@@ -336,23 +350,11 @@ def grid_scan_p1(g: Graph, grid: int = 64) -> tuple[float, float, float]:
     """
     if grid < 64:
         raise ValueError(f"grid resolution must be >= 64 points per axis, got {grid}")
-    cost = cost_vector(g).astype(float)
-    dim = 1 << g.n
+    objective = _Objective(g)
     gammas = np.arange(grid) * (TWO_PI / grid)
     betas = np.arange(grid) * (np.pi / grid)
-    sv = np.exp(-1j * np.outer(gammas, cost)) / np.sqrt(dim)  # (grid, dim)
-    sv = np.repeat(sv[:, None, :], grid, axis=1)  # (grid, grid, dim)
-    c = np.cos(betas)[None, :, None, None]
-    s = np.sin(betas)[None, :, None, None]
-    for q in range(g.n):
-        shaped = sv.reshape(grid, grid, 1 << (g.n - q - 1), 2, 1 << q)
-        a0 = shaped[..., 0, :].copy()
-        a1 = shaped[..., 1, :]
-        shaped[..., 0, :] = c * a0 - 1j * s * a1
-        shaped[..., 1, :] = c * a1 - 1j * s * a0
-    values = np.abs(sv) ** 2 @ cost
+    values = objective.expectation(objective.states(gammas[None, :, None], betas[None, None, :]))
     i, j = np.unravel_index(int(values.argmax()), values.shape)
-    objective = _Objective(g)
     value, theta = _polish(objective, np.array([gammas[i], betas[j]]))
     angles = AngleVector.from_flat(theta)
     return angles.gammas[0], angles.betas[0], float(value)
@@ -363,33 +365,29 @@ def grid_scan_p1(g: Graph, grid: int = 64) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def metrics_bundle(g: Graph, mc: MaxCutSummary, outcomes) -> list[QaoaOutcome]:
-    """Fill ratio and delta ratio across a p = 0..P outcome sequence.
+def metrics_bundle(g: Graph, mc: MaxCutSummary, outcomes,
+                   delta_eps: float = DELTA_EPS) -> list[QaoaOutcome]:
+    """Fill the delta ratio across a p = 0..P outcome sequence.
 
     delta at p is the fraction of the remaining gap closed by the p-th
     layer; it is undefined (None) at p = 0 and whenever the previous level
-    already sits within DELTA_EPS of the optimum.
+    already sits within delta_eps of the optimum.
     """
-    outcomes = list(outcomes)
+    filled = []
     for i, outcome in enumerate(outcomes):
         if outcome.p != i:
             raise ValueError(f"outcome sequence must start at p=0 and be consecutive; "
                              f"position {i} has p={outcome.p}")
-    filled = []
-    for outcome in outcomes:
-        ratio = outcome.exp_c / mc.cmax
-        if outcome.p == 0:
-            delta = None
-        else:
-            prev = filled[outcome.p - 1]
-            gap = mc.cmax - prev.exp_c
-            delta = None if gap < DELTA_EPS else (outcome.exp_c - prev.exp_c) / gap
-        filled.append(replace(outcome, ratio=ratio, delta_ratio=delta))
+        delta = None
+        if i:
+            gap = mc.cmax - filled[-1].exp_c
+            delta = None if gap < delta_eps else (outcome.exp_c - filled[-1].exp_c) / gap
+        filled.append(replace(outcome, delta_ratio=delta))
     return filled
 
 
-def run_depth_series(g: Graph, pmax: int, starts: int = DEFAULT_STARTS,
-                     seed: int = 0) -> list[QaoaOutcome]:
+def run_depth_series(g: Graph, pmax: int, starts: int = DEFAULT_STARTS, seed: int = 0,
+                     delta_eps: float = DELTA_EPS) -> list[QaoaOutcome]:
     """Optimize depths 1..pmax (plus the depth-0 row) with warm starts.
 
     Each depth adds the zero-padded best of the previous depth to the start
@@ -403,4 +401,4 @@ def run_depth_series(g: Graph, pmax: int, starts: int = DEFAULT_STARTS,
         prev = outcomes[-1].best_angles
         warm = np.concatenate([prev.gammas, (0.0,), prev.betas, (0.0,)])
         outcomes.append(optimize_angles(g, p, starts, seed, extra_starts=(warm,)))
-    return metrics_bundle(g, mc, outcomes)
+    return metrics_bundle(g, mc, outcomes, delta_eps)

@@ -162,3 +162,22 @@ class TestExitCodes:
                      "--out", str(out)]) == 0
         rows = read_qaoa_results(str(out))
         assert rows[0].starts == 4 and rows[0].seed == 11
+
+    def test_config_delta_eps_applied(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta_eps=0.5\nworkers=1\n")
+        g6 = tmp_path / "n4.g6"
+        out = tmp_path / "q.csv"
+        assert main(["graphs", "gen", "--n", "4", "--out", str(g6)]) == 0
+        assert main(["--config", str(cfg), "qaoa", "--in", str(g6), "--p", "2",
+                     "--starts", "8", "--seed", "3", "--out", str(out)]) == 0
+        rows = {(r.graph_id, r.p): r for r in read_qaoa_results(str(out))}
+        gaps = []
+        for (graph_id, p), row in rows.items():
+            if p:
+                gap = row.cmax - rows[graph_id, p - 1].exp_c
+                gaps.append(gap)
+                assert (row.delta_ratio is None) == (gap < 0.5)
+        # some previous-depth gap lies between the default 1e-9 and 0.5, so
+        # the configured value, not the default, decides those cells
+        assert any(1e-9 <= gap < 0.5 for gap in gaps)

@@ -145,6 +145,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(starts=0)
 
+    def test_delta_eps_must_be_positive(self):
+        assert RunConfig(delta_eps=0.5).delta_eps == 0.5
+        for bad in (0.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError, match="delta_eps"):
+                RunConfig(delta_eps=bad)
+
     def test_load(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# pipeline settings\nn_min=4\nn_max = 6\nstarts=50\nseed=9\nworkers=2\n")

@@ -1,9 +1,14 @@
+import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qgraphlab
 from qgraphlab.graphs import (Graph, complete_graph, cycle_graph, enumerate_connected,
                               path_graph, relabel, star_graph)
 from qgraphlab.qaoa import (AngleVector, _Objective, cost_vector, evolve, expectation,
@@ -25,6 +30,51 @@ def brute_force_maxcut(g):
         elif cut == best:
             count += 1
     return best, count
+
+
+def random_graph(rng, n, density=0.5):
+    """A seeded random labeled graph on n vertices with at least one edge."""
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = [e for e in pairs if rng.random() < density] or [pairs[0]]
+    return Graph.from_edges(n, edges)
+
+
+def connected_graphs_up_to(nmax):
+    """Every connected graph on 1..nmax vertices, one per isomorphism class."""
+    small = [Graph.from_edges(1, []), path_graph(2)]
+    return small + [g for n in range(3, nmax + 1) for g in enumerate_connected(n)]
+
+
+def closed_form_p1(g, gamma, beta):
+    """Depth-1 <C> from the Wang-Hadfield-Jiang-Rieffel closed form
+    (PRA 97, 022304, 2018): each edge (u, v) contributes a term fixed by
+    the endpoint degrees and the number of triangles through the edge."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    cg = np.cos(gamma)
+    total = 0.0
+    for u, v in g.edges():
+        du, dv = len(nbrs[u]) - 1, len(nbrs[v]) - 1
+        lam = len(nbrs[u] & nbrs[v])
+        total += (0.5
+                  + 0.25 * np.sin(4 * beta) * np.sin(gamma) * (cg ** du + cg ** dv)
+                  - 0.25 * np.sin(2 * beta) ** 2 * cg ** (du + dv - 2 * lam)
+                  * (1 - np.cos(2 * gamma) ** lam))
+    return total
+
+
+def dense_statevector(g, gammas, betas):
+    """Reference statevector from dense 2^n x 2^n layer matrices."""
+    cost = np.array([sum((z >> u & 1) != (z >> v & 1) for u, v in g.edges())
+                     for z in range(1 << g.n)], dtype=float)
+    sv = np.full(1 << g.n, 2.0 ** (-g.n / 2), dtype=complex)
+    for gamma, beta in zip(gammas, betas):
+        c, s = np.cos(beta), np.sin(beta)
+        mixer = functools.reduce(np.kron, [np.array([[c, -1j * s], [-1j * s, c]])] * g.n)
+        sv = mixer @ (np.diag(np.exp(-1j * gamma * cost)) @ sv)
+    return sv
 
 
 class TestMaxCut:
@@ -102,21 +152,63 @@ class TestEvolve:
             assert abs(prob_cmax(g, sv, mc) - prob_cmax(g, ref, mc)) < 1e-10
 
 
+class TestKernelOracles:
+    """evolve against references that share no code with the kernel."""
+
+    def test_p1_closed_form_connected_n_le_7(self):
+        rng = np.random.default_rng(11)
+        for g in connected_graphs_up_to(7):
+            gamma, beta = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi)
+            got = expectation(g, evolve(g, AngleVector((gamma,), (beta,))))
+            assert abs(got - closed_form_p1(g, gamma, beta)) <= 1e-12
+
+    def test_p1_closed_form_random_n8_and_n12(self):
+        # n = 12 splits the Hadamard on 11 qubits into Kronecker factors
+        rng = random.Random(12)
+        angles = np.random.default_rng(12)
+        graphs = [random_graph(rng, 8, rng.uniform(0.2, 0.9)) for _ in range(40)]
+        graphs.append(random_graph(rng, 12, 0.4))
+        for g in graphs:
+            gamma, beta = angles.uniform(0, 2 * np.pi), angles.uniform(0, np.pi)
+            got = expectation(g, evolve(g, AngleVector((gamma,), (beta,))))
+            assert abs(got - closed_form_p1(g, gamma, beta)) <= 1e-12
+
+    def test_amplitudes_match_dense_layers(self):
+        rng = np.random.default_rng(5)
+        for g in connected_graphs_up_to(5):
+            for p in range(4):
+                gammas = tuple(rng.uniform(0, 2 * np.pi, p))
+                betas = tuple(rng.uniform(0, np.pi, p))
+                sv = evolve(g, AngleVector(gammas, betas))
+                assert np.abs(sv - dense_statevector(g, gammas, betas)).max() <= 1e-12
+
+
 class TestGradient:
+    @staticmethod
+    def _check(g, p, rng):
+        objective = _Objective(g)
+        theta = rng.uniform(0.05, 3.0, 2 * p)
+        _, grad = objective.value_and_grad(theta)
+        for i in range(2 * p):
+            e = np.zeros(2 * p)
+            e[i] = 1e-5
+            fd = (objective.value(theta + e) - objective.value(theta - e)) / 2e-5
+            assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
+
     def test_matches_central_differences(self):
         rng = np.random.default_rng(4)
         pool = enumerate_connected(4) + enumerate_connected(5)
         for _ in range(100):
             g = pool[rng.integers(len(pool))]
             p = int(rng.integers(1, 4))
-            objective = _Objective(g)
-            theta = rng.uniform(0.05, 3.0, 2 * p)
-            _, grad = objective.value_and_grad(theta)
-            for i in range(2 * p):
-                e = np.zeros(2 * p)
-                e[i] = 1e-5
-                fd = (objective.value(theta + e) - objective.value(theta - e)) / 2e-5
-                assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
+            self._check(g, p, rng)
+
+    def test_matches_central_differences_n6_to_8(self):
+        rng = np.random.default_rng(6)
+        graphs = random.Random(6)
+        for _ in range(24):
+            g = random_graph(graphs, int(rng.integers(6, 9)), graphs.uniform(0.2, 0.9))
+            self._check(g, int(rng.integers(1, 4)), rng)
 
 
 class TestOptimization:
@@ -205,3 +297,36 @@ class TestMetricsBundle:
         stalled = replace(base, p=1)
         filled = metrics_bundle(g, mc, [base, stalled])
         assert filled[1].delta_ratio == pytest.approx(0.0, abs=1e-12)
+
+
+_THREADS_SCRIPT = """
+import os, numpy
+before = len(os.listdir("/proc/self/task"))
+import qgraphlab.qaoa
+print(before, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+class TestBlasThreads:
+    """Importing qaoa loads scipy's OpenBLAS, which L-BFGS-B calls, without
+    worker threads, and leaves OPENBLAS_NUM_THREADS as it was."""
+
+    def _import_in_child(self, threads):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        src = os.path.dirname(os.path.dirname(qgraphlab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        return int(out[0]), int(out[1]), out[2]
+
+    def test_import_starts_no_threads_and_restores_env(self):
+        before, after, chosen = self._import_in_child(None)
+        assert after == before
+        assert chosen == "None"
+
+    def test_caller_thread_count_kept(self):
+        _, _, chosen = self._import_in_child("2")
+        assert chosen == "2"
