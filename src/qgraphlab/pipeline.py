@@ -11,7 +11,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .datastore import DatasetRow, QaoaResultRow, build_dataset_row
-from .graphs import Graph, decode_graph6, encode_graph6
+from .graphs import Graph
 from .qaoa import DELTA_EPS, maxcut_bruteforce, run_depth_series
 from .structure import structure_profile
 from .symmetry import automorphism_group
@@ -31,17 +31,14 @@ def resolve_workers(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _props_task(args: tuple[str, int]) -> DatasetRow:
-    text, graph_id = args
-    g = decode_graph6(text).with_id(graph_id)
+def _props_task(g: Graph) -> DatasetRow:
     return build_dataset_row(g, structure_profile(g), automorphism_group(g))
 
 
-def _qaoa_task(args: tuple[str, int, int, int, int, float]) -> list[QaoaResultRow]:
-    text, graph_id, pmax, starts, seed, delta_eps = args
-    g = decode_graph6(text).with_id(graph_id)
+def _qaoa_task(args: tuple[Graph, int, int, int, float]) -> list[QaoaResultRow]:
+    g, pmax, starts, seed, delta_eps = args
     mc = maxcut_bruteforce(g)
-    outcomes = run_depth_series(g, pmax, starts=starts, seed=seed, delta_eps=delta_eps)
+    outcomes = run_depth_series(g, pmax, starts=starts, seed=seed, delta_eps=delta_eps, mc=mc)
     return [QaoaResultRow.from_outcome(g, mc, o, starts, seed) for o in outcomes]
 
 
@@ -54,8 +51,7 @@ def _run(task, jobs, workers: int):
 
 def dataset_rows(graphs: list[Graph], workers: int | None = None) -> list[DatasetRow]:
     """Structure + symmetry rows for a batch of graphs (sorted by id)."""
-    jobs = [(encode_graph6(g), g.id) for g in graphs]
-    rows = _run(_props_task, jobs, resolve_workers(workers))
+    rows = _run(_props_task, graphs, resolve_workers(workers))
     return sorted(rows, key=lambda r: r.graph_id)
 
 
@@ -63,6 +59,6 @@ def qaoa_result_rows(graphs: list[Graph], pmax: int, starts: int, seed: int,
                      workers: int | None = None,
                      delta_eps: float = DELTA_EPS) -> list[QaoaResultRow]:
     """Depth 0..pmax QAOA rows for a batch of graphs (sorted by id, then p)."""
-    jobs = [(encode_graph6(g), g.id, pmax, starts, seed, delta_eps) for g in graphs]
+    jobs = [(g, pmax, starts, seed, delta_eps) for g in graphs]
     nested = _run(_qaoa_task, jobs, resolve_workers(workers))
     return sorted((row for rows in nested for row in rows), key=lambda r: (r.graph_id, r.p))

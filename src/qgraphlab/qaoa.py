@@ -15,14 +15,14 @@ reductions:
   qubits and w[x] = n - 2(|x| + |x| mod 2).  H is a real matrix product on
   the complex-as-real view, in Kronecker factors of at most 2^7.
 
-States carry leading batch axes, so the grid oracle evolves all its cells
-at once.  Expectations and probabilities always come from the statevector.
-
-Angle optimization is multi-start quasi-Newton (L-BFGS-B on the exact
-adjoint gradient); the depth-1 case is cross-checked against a dense
-(gamma, beta) grid scan.  Random starts are drawn from a stream keyed by
-(seed, canonical form, start index) so isomorphic graphs give identical
-results.
+C takes the m + 1 integer levels 0..m and w the levels n, n - 2, ..., -n, so
+each phase factor is looked up from one complex exp per level.  States carry
+leading batch axes: the grid oracle evolves all its cells at once, and the
+angle optimizer runs multi-start L-BFGS-B (on the exact adjoint gradient)
+with all starts in lockstep, one kernel call per round for the starts that
+ask for a value.  The depth-1 optimum is cross-checked against a dense
+(gamma, beta) grid scan.  Random starts come from a stream keyed by (seed,
+canonical form, start index), so isomorphic graphs give identical results.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ import numpy as np
 # The library reads its thread count once, at load; a caller's count wins.
 _CHOSEN_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-from scipy.optimize import minimize  # noqa: E402
+# setulb, scipy's L-BFGS-B step, is private API: the signature called here is
+# the one from scipy 1.15's C port, checked against scipy 1.17.1.
+from scipy.optimize._lbfgsb import setulb  # noqa: E402
 if _CHOSEN_THREADS is None:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
@@ -184,18 +186,27 @@ class _Objective:
     states() evolves a batch of angle sets; value_and_grad() gives <C> and
     its exact gradient at theta = (gammas, betas) by the adjoint recursion:
     a forward pass that keeps each layer's states, then the cost-weighted
-    adjoint is peeled back layer by layer.
+    adjoint is peeled back layer by layer.  A row's results do not depend
+    on the rest of its batch: every reduction runs along the row.
     """
 
     def __init__(self, g: Graph):
         half = 1 << (g.n - 1)
         x = np.arange(half)
         ones = sum((x >> q & 1 for q in range(g.n - 1)), np.zeros_like(x))
-        self.cost = cost_vector(g)[:half].astype(float)
+        cost = cost_vector(g)[:half]
+        self.cost = cost.astype(float)
         self.weight = g.n - 2.0 * (ones + ones % 2)  # sum_q X_q in the Hadamard basis
+        self.cost_table = np.arange(g.edge_count + 1.0), cost
+        self.weight_table = g.n - 2.0 * np.arange(g.n + 1), ones + ones % 2
         self.factors = _hadamard_factors(g.n - 1)
         self.uniform = np.full(half, 2.0 ** (-g.n / 2), dtype=complex)
         self.evaluations = 0
+
+    @staticmethod
+    def _phase(angle, levels, index) -> np.ndarray:
+        """exp(-i angle v), v = levels[index]; np.take, not [..., index], keeps it C-contiguous."""
+        return np.take(np.exp(-1j * np.multiply.outer(angle, levels)), index, axis=-1)
 
     def _hadamard(self, psi: np.ndarray) -> np.ndarray:
         """H along the last axis of a C-contiguous complex batch (a new array)."""
@@ -212,45 +223,43 @@ class _Objective:
         `saved` collects each layer's (phased state, mixed Hadamard-basis state)."""
         psi = self.uniform
         for gamma, beta in zip(np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float)):
-            phased = psi * np.exp(-1j * np.multiply.outer(gamma, self.cost))
-            mixed = self._hadamard(phased) * np.exp(-1j * np.multiply.outer(beta, self.weight))
+            phased = psi * self._phase(gamma, *self.cost_table)
+            mixed = self._hadamard(phased) * self._phase(beta, *self.weight_table)
             psi = self._hadamard(mixed)
             if saved is not None:
                 saved.append((phased, mixed))
         return psi
 
     def expectation(self, psi: np.ndarray):
-        return 2.0 * (np.abs(psi) ** 2 @ self.cost)
+        return 2.0 * (np.abs(psi) ** 2 * self.cost).sum(axis=-1)
 
     def value(self, theta) -> float:
-        self.evaluations += 1
-        p = len(theta) // 2
-        return float(self.expectation(self.states(theta[:p], theta[p:])))
+        return self.value_and_grad(theta)[0]
 
     def value_and_grad(self, theta):
-        self.evaluations += 1
+        """<C> and its gradient at theta of shape (2p,), or at each row of
+        theta of shape (B, 2p); each row counts as one evaluation."""
         theta = np.asarray(theta, dtype=float)
-        p = theta.size // 2
-        gammas, betas = theta[:p], theta[p:]
+        rows = theta.reshape(-1, theta.shape[-1])
+        self.evaluations += len(rows)
+        p = rows.shape[1] // 2
+        gammas, betas = rows[:, :p].T, rows[:, p:].T
         saved = []
         sv = self.states(gammas, betas, saved)
         # Half-state inner products are half the full ones, and sum_q X_q is
         # diag(weight) in the Hadamard basis, so d<C>/dbeta =
         # 2 Im(<adjoint| sum_q X_q |state>) is a diagonal product there.
-        grad = np.zeros(2 * p)
+        grad = np.empty_like(rows)
         adjoint = self.cost * sv
         for layer in range(p - 1, -1, -1):
             phased, mixed = saved[layer]
             adjoint = self._hadamard(adjoint)
-            grad[p + layer] = 4.0 * np.imag(np.vdot(adjoint, self.weight * mixed))
-            adjoint = self._hadamard(adjoint * np.exp(1j * betas[layer] * self.weight))
-            grad[layer] = 4.0 * np.imag(np.vdot(adjoint, self.cost * phased))
-            adjoint *= np.exp(1j * gammas[layer] * self.cost)
-        return float(self.expectation(sv)), grad
-
-    def neg_value_and_grad(self, theta):
-        value, grad = self.value_and_grad(theta)
-        return -value, -grad
+            grad[:, p + layer] = 4.0 * ((adjoint.conj() * mixed).imag * self.weight).sum(axis=-1)
+            adjoint = self._hadamard(adjoint * self._phase(-betas[layer], *self.weight_table))
+            grad[:, layer] = 4.0 * ((adjoint.conj() * phased).imag * self.cost).sum(axis=-1)
+            adjoint *= self._phase(-gammas[layer], *self.cost_table)
+        values = self.expectation(sv)
+        return (values, grad) if theta.ndim > 1 else (float(values[0]), grad[0])
 
 
 def evolve(g: Graph, angles: AngleVector) -> np.ndarray:
@@ -261,11 +270,10 @@ def evolve(g: Graph, angles: AngleVector) -> np.ndarray:
 
 def expectation(g: Graph, sv: np.ndarray) -> float:
     """<C> of a full statevector."""
-    cost = cost_vector(g)
-    return float(np.real(np.dot(cost, np.abs(sv) ** 2)))
+    return float(np.dot(cost_vector(g), np.abs(sv) ** 2))
 
 
-def prob_cmax(g: Graph, sv: np.ndarray, mc: MaxCutSummary) -> float:
+def prob_cmax(sv: np.ndarray, mc: MaxCutSummary) -> float:
     """Total probability of measuring an optimal assignment."""
     return float((np.abs(sv[mc.optimal_mask]) ** 2).sum())
 
@@ -275,32 +283,52 @@ def prob_cmax(g: Graph, sv: np.ndarray, mc: MaxCutSummary) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _start_rng(seed: int, canon: str, start_index: int) -> np.random.Generator:
-    digest = int.from_bytes(hashlib.sha256(canon.encode("ascii")).digest()[:8], "big")
-    return np.random.default_rng([seed, digest, start_index])
+def _lbfgsb(objective: _Objective, theta0: np.ndarray):
+    """Maximize <C> by L-BFGS-B from every row of theta0, all rows in lockstep.
 
-
-def _polish(objective: _Objective, theta0: np.ndarray) -> tuple[float, np.ndarray]:
-    res = minimize(objective.neg_value_and_grad, theta0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": MAX_ITER, "ftol": OBJECTIVE_TOL, "gtol": 1e-9})
-    value0 = objective.value(theta0)
-    if -res.fun >= value0:
-        return float(-res.fun), res.x
-    return value0, theta0
-
-
-def _best_of_starts(objective: _Objective, canon: str, p: int, starts: int, seed: int,
-                    extra_starts=()):
-    """Run `starts` seeded local optimizations, then one from each extra
-    start point (extra point j has start index starts + j)."""
-    rngs = (_start_rng(seed, canon, idx) for idx in range(starts))
-    points = [np.concatenate([r.uniform(0, TWO_PI, p), r.uniform(0, np.pi, p)]) for r in rngs]
-    best_value, best_theta, best_start = -np.inf, None, 0
-    for idx, theta0 in enumerate(points + [np.asarray(t, dtype=float) for t in extra_starts]):
-        value, theta = _polish(objective, theta0)
-        if value > best_value:
-            best_value, best_theta, best_start = value, theta, idx
-    return best_value, best_theta, best_start
+    Each row has its own state in scipy's L-BFGS-B step (setulb) and runs
+    minimize's loop and settings: memory 10, ftol OBJECTIVE_TOL, gtol 1e-9,
+    20 line-search steps, MAX_ITER iterations, no bounds, and no second
+    evaluation at the point last evaluated (first of all, the start).  A
+    round advances each running row until it asks for (f, g) or stops; the
+    rows that asked share one kernel call.  A row that ends below its start
+    keeps the start.  Returns the angles, the values and each row's nit and
+    nfev, as minimize counts them.
+    """
+    rows, d = theta0.shape
+    m, maxls, factr, pgtol = 10, 20, OBJECTIVE_TOL / np.finfo(float).eps, 1e-9
+    x = np.array(theta0, dtype=float)  # setulb moves each row in place
+    value0, grad0 = objective.value_and_grad(x)
+    f, g, last_x = -value0, -grad0, x.copy()
+    wa, dsave = np.zeros((rows, 2 * m * d + 5 * d + 11 * m * m + 8 * m)), np.zeros((rows, 29))
+    iwa, task, ln_task, lsave, isave = (np.zeros((rows, k), np.int32) for k in (3 * d, 2, 2, 4, 44))
+    bound, unbounded = np.zeros(d), np.zeros(d, np.int32)
+    nit, nfev = np.zeros(rows, int), np.ones(rows, int)
+    running = list(range(rows))
+    while running:
+        asking = []
+        for i in running:
+            while True:
+                setulb(m, x[i], bound, bound, unbounded, f[i], g[i], factr, pgtol, wa[i], iwa[i],
+                       task[i], lsave[i], isave[i], dsave[i], maxls, ln_task[i])
+                if task[i, 0] == 3:  # FG: wants f and g at x[i]
+                    if x[i].tolist() != last_x[i].tolist():
+                        asking.append(i)
+                        break
+                elif task[i, 0] == 1:  # NEW_X: an iteration ended
+                    nit[i] += 1
+                    if nit[i] >= MAX_ITER:
+                        task[i] = 5, 504  # STOP, iteration limit; the next call returns
+                else:
+                    break
+        running = asking
+        if asking:
+            value, grad = objective.value_and_grad(x[asking])
+            f[asking], g[asking], last_x[asking] = -value, -grad, x[asking]
+            nfev[asking] += 1
+    keep = -f < value0
+    x[keep] = theta0[keep]
+    return x, np.where(keep, value0, -f), nit, nfev
 
 
 def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
@@ -315,26 +343,31 @@ def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
 
 def uniform_outcome(g: Graph, mc: MaxCutSummary | None = None) -> QaoaOutcome:
     """Depth-0 metrics: the uniform superposition, no parameters."""
-    if mc is None:
-        mc = maxcut_bruteforce(g)
+    mc = maxcut_bruteforce(g) if mc is None else mc
     return _outcome(g, _Objective(g), mc, 0, None, OptimizerStats("uniform", 0, -1, 0))
 
 
 def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 0,
-                    extra_starts=()) -> QaoaOutcome:
+                    extra_starts=(), mc: MaxCutSummary | None = None) -> QaoaOutcome:
     """Best <C> over multi-start L-BFGS-B; depth 1 is grid cross-checked.
 
     extra_starts supplies additional flat angle vectors to polish alongside
-    the seeded random starts (used for warm starts between depths).
+    the seeded random starts (used for warm starts between depths); extra
+    point j has start index starts + j.  The first start with the highest
+    value wins.  mc, when given, is this graph's maxcut_bruteforce.
     """
     if p not in SUPPORTED_DEPTHS:
         raise ValueError(f"depth must be one of {SUPPORTED_DEPTHS}, got {p}")
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    mc = maxcut_bruteforce(g)
+    mc = maxcut_bruteforce(g) if mc is None else mc
     objective = _Objective(g)
-    value, theta, best_start = _best_of_starts(objective, canonical_form(g), p, starts, seed,
-                                               extra_starts)
+    digest = int.from_bytes(hashlib.sha256(canonical_form(g).encode("ascii")).digest()[:8], "big")
+    rngs = (np.random.default_rng([seed, digest, idx]) for idx in range(starts))
+    points = [np.concatenate([r.uniform(0, TWO_PI, p), r.uniform(0, np.pi, p)]) for r in rngs]
+    thetas, values, _, _ = _lbfgsb(objective, np.array(points + list(extra_starts), dtype=float))
+    best_start = int(np.argmax(values))
+    value, theta = values[best_start], thetas[best_start]
     if p == 1:
         gamma, beta, grid_value = grid_scan_p1(g)
         if grid_value > value:
@@ -355,9 +388,9 @@ def grid_scan_p1(g: Graph, grid: int = 64) -> tuple[float, float, float]:
     betas = np.arange(grid) * (np.pi / grid)
     values = objective.expectation(objective.states(gammas[None, :, None], betas[None, None, :]))
     i, j = np.unravel_index(int(values.argmax()), values.shape)
-    value, theta = _polish(objective, np.array([gammas[i], betas[j]]))
-    angles = AngleVector.from_flat(theta)
-    return angles.gammas[0], angles.betas[0], float(value)
+    theta, value, _, _ = _lbfgsb(objective, np.array([[gammas[i], betas[j]]]))
+    angles = AngleVector.from_flat(theta[0])
+    return angles.gammas[0], angles.betas[0], float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +420,20 @@ def metrics_bundle(g: Graph, mc: MaxCutSummary, outcomes,
 
 
 def run_depth_series(g: Graph, pmax: int, starts: int = DEFAULT_STARTS, seed: int = 0,
-                     delta_eps: float = DELTA_EPS) -> list[QaoaOutcome]:
+                     delta_eps: float = DELTA_EPS,
+                     mc: MaxCutSummary | None = None) -> list[QaoaOutcome]:
     """Optimize depths 1..pmax (plus the depth-0 row) with warm starts.
 
     Each depth adds the zero-padded best of the previous depth to the start
-    set, which keeps best <C> non-decreasing in p by construction.
+    set, which keeps best <C> non-decreasing in p by construction.  mc,
+    when given, is this graph's maxcut_bruteforce.
     """
     if not 0 <= pmax <= max(SUPPORTED_DEPTHS):
         raise ValueError(f"pmax must be within 0..{max(SUPPORTED_DEPTHS)}, got {pmax}")
-    mc = maxcut_bruteforce(g)
+    mc = maxcut_bruteforce(g) if mc is None else mc
     outcomes = [uniform_outcome(g, mc)]
     for p in range(1, pmax + 1):
         prev = outcomes[-1].best_angles
         warm = np.concatenate([prev.gammas, (0.0,), prev.betas, (0.0,)])
-        outcomes.append(optimize_angles(g, p, starts, seed, extra_starts=(warm,)))
+        outcomes.append(optimize_angles(g, p, starts, seed, extra_starts=(warm,), mc=mc))
     return metrics_bundle(g, mc, outcomes, delta_eps)

@@ -386,7 +386,7 @@ def check_isomorphism_invariance(graphs: int = 50, relabelings: int = 20,
         gamma, beta, value = grid_scan_p1(graph)
         mc = maxcut_bruteforce(graph)
         sv = evolve(graph, AngleVector((gamma,), (beta,)))
-        return value, prob_cmax(graph, sv, mc), value / mc.cmax
+        return value, prob_cmax(sv, mc), value / mc.cmax
 
     for g in rng.sample(pool, graphs):
         base_row = build_dataset_row(g, structure_profile(g), automorphism_group(g))

@@ -7,11 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import qgraphlab
+from qgraphlab import qaoa
 from qgraphlab.graphs import (Graph, complete_graph, cycle_graph, enumerate_connected,
                               path_graph, relabel, star_graph)
-from qgraphlab.qaoa import (AngleVector, _Objective, cost_vector, evolve, expectation,
+from qgraphlab.qaoa import (AngleVector, _lbfgsb, _Objective, cost_vector, evolve, expectation,
                             grid_scan_p1, maxcut_bruteforce, metrics_bundle, optimize_angles,
                             prob_cmax, run_depth_series, uniform_outcome)
 
@@ -130,7 +132,7 @@ class TestEvolve:
         zero = AngleVector((0.0,) * 3, (0.0,) * 3)
         assert expectation(g, evolve(g, zero)) == pytest.approx(g.edge_count / 2, abs=1e-12)
         mc = maxcut_bruteforce(g)
-        assert prob_cmax(g, evolve(g, zero), mc) == pytest.approx(mc.optimal_count / 32, abs=1e-12)
+        assert prob_cmax(evolve(g, zero), mc) == pytest.approx(mc.optimal_count / 32, abs=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(0)
@@ -149,7 +151,7 @@ class TestEvolve:
         ref = evolve(g, base)
         for sv in (shifted_gamma, shifted_beta):
             assert abs(expectation(g, sv) - expectation(g, ref)) < 1e-10
-            assert abs(prob_cmax(g, sv, mc) - prob_cmax(g, ref, mc)) < 1e-10
+            assert abs(prob_cmax(sv, mc) - prob_cmax(ref, mc)) < 1e-10
 
 
 class TestKernelOracles:
@@ -209,6 +211,78 @@ class TestGradient:
         for _ in range(24):
             g = random_graph(graphs, int(rng.integers(6, 9)), graphs.uniform(0.2, 0.9))
             self._check(g, int(rng.integers(1, 4)), rng)
+
+
+def random_starts(rng, rows, p):
+    return np.concatenate([rng.uniform(0, 2 * np.pi, (rows, p)), rng.uniform(0, np.pi, (rows, p))],
+                          axis=1)
+
+
+class TestLockstepOptimizer:
+    """The lockstep L-BFGS-B optimizer against scipy's own minimize, one start
+    at a time, and against itself on one-row batches."""
+
+    @pytest.mark.parametrize("max_iter", [qaoa.MAX_ITER, 3])
+    def test_rows_match_scipy_minimize(self, monkeypatch, max_iter):
+        monkeypatch.setattr(qaoa, "MAX_ITER", max_iter)
+        rng = np.random.default_rng(21)
+        graphs = random.Random(21)
+        # 10 (graph, p) cases, n = 4..8 twice, p = 1..3 in turn, two starts each
+        for case in range(10):
+            n, p = 4 + case % 5, 1 + case % 3
+            g = random_graph(graphs, n, graphs.uniform(0.3, 0.9))
+            theta0 = random_starts(rng, 2, p)
+            theta, value, nit, nfev = _lbfgsb(_Objective(g), theta0)
+            reference = _Objective(g)
+
+            def negated(t):
+                v, grad = reference.value_and_grad(t)
+                return -v, -grad
+
+            for row in range(2):
+                res = minimize(negated, theta0[row], jac=True, method="L-BFGS-B",
+                               options={"maxiter": max_iter, "ftol": qaoa.OBJECTIVE_TOL,
+                                        "gtol": 1e-9})
+                value0 = reference.value(theta0[row])
+                want_value, want_x = (-res.fun, res.x) if -res.fun >= value0 else (value0, theta0[row])
+                assert (nfev[row], nit[row]) == (res.nfev, res.nit)
+                assert abs(value[row] - want_value) <= 1e-12
+                assert np.abs(theta[row] - want_x).max() <= 1e-9
+                if max_iter == 3:
+                    assert nit[row] == 3
+
+    def test_rows_independent_of_batch(self):
+        rng = np.random.default_rng(22)
+        g = random_graph(random.Random(22), 7, 0.5)
+        theta0 = random_starts(rng, 201, 2)
+        theta, value, nit, nfev = _lbfgsb(_Objective(g), theta0)
+        for row in range(201):
+            one = _lbfgsb(_Objective(g), theta0[row:row + 1])
+            assert (one[2][0], one[3][0]) == (nit[row], nfev[row])
+            assert abs(one[1][0] - value[row]) <= 1e-12
+            assert np.abs(one[0][0] - theta[row]).max() <= 1e-12
+
+    def test_phase_tables_equal_direct_exp(self):
+        """states() looks phases up from per-level tables; the direct formula
+        takes an exp per amplitude, with C and w computed here."""
+        rng = np.random.default_rng(23)
+        graphs = random.Random(23)
+        for n in range(3, 10):
+            g = random_graph(graphs, n, graphs.uniform(0.3, 0.9))
+            objective = _Objective(g)
+            half = 1 << (n - 1)
+            cost = cost_vector(g)[:half].astype(float)
+            ones = np.array([bin(x).count("1") for x in range(half)])
+            weight = n - 2.0 * (ones + ones % 2)
+            for p in (1, 2, 3):
+                gammas = rng.uniform(-2 * np.pi, 4 * np.pi, (p, 5))
+                betas = rng.uniform(-np.pi, 2 * np.pi, (p, 5))
+                psi = objective.uniform
+                for gamma, beta in zip(gammas, betas):
+                    phased = psi * np.exp(-1j * np.multiply.outer(gamma, cost))
+                    mixed = objective._hadamard(phased) * np.exp(-1j * np.multiply.outer(beta, weight))
+                    psi = objective._hadamard(mixed)
+                assert np.array_equal(objective.states(gammas, betas), psi)
 
 
 class TestOptimization:
