@@ -290,13 +290,18 @@ def _canonical_columns(n: int, adj: tuple[int, ...]) -> list[int]:
     return best
 
 
+def _form(n: int, adj: tuple[int, ...]) -> str:
+    """canonical_form of a raw adjacency tuple."""
+    cols = _canonical_columns(n, adj)
+    return "".join(format(cols[k], f"0{k}b") for k in range(1, n))
+
+
 def canonical_form(g: Graph) -> str:
     """Lexicographically smallest upper-triangle bit string over relabelings.
 
     Two graphs share a canonical form iff they are isomorphic.
     """
-    cols = _canonical_columns(g.n, g.adj)
-    return "".join(format(cols[k], f"0{k}b") for k in range(1, g.n))
+    return _form(g.n, g.adj)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -328,14 +333,33 @@ def _graph_from_bits(n: int, bits: str) -> Graph:
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
 #
-# All isomorphism classes on k vertices arise by attaching a new vertex to
-# every class representative on k-1 vertices with every possible neighbor
-# subset, then canonicalizing and deduplicating.  Disconnected
-# intermediates must be kept (a connected graph can have a disconnected
-# vertex-deleted subgraph); connectivity is filtered at the end.
+# All isomorphism classes on n vertices arise by attaching a new vertex to
+# every class representative on n-1 vertices with every possible neighbor
+# subset S.  Only the extensions whose new vertex attains the maximum of an
+# isomorphism-invariant vertex key are canonicalized and deduplicated (the
+# deletion rule of McKay's canonical augmentation, "Isomorph-free
+# exhaustive generation", J. Algorithms 26, 1998).  The key is (degree, sum
+# of neighbor degrees, edges among neighbors); degree alone rejects most
+# extensions, since each old degree is the parent's plus one bit of S.
+#
+# The filter is exact: every class G has a key-maximal vertex v, and G - v
+# is isomorphic to some representative P on n-1 vertices, so G is
+# isomorphic to P extended by some S with v mapped to the new vertex.  That
+# extension has the key of v at its new vertex and passes.  Ties must pass
+# (a vertex-transitive graph has no strictly maximal vertex).
+#
+# Disconnected intermediates must be kept (a connected graph can have a
+# disconnected vertex-deleted subgraph); connectivity is filtered at the
+# end.
 
 ENUM_MIN_N = 3
 ENUM_MAX_N = 8
+
+
+def _vertex_key(adj: tuple[int, ...], deg: list[int], v: int) -> tuple[int, int, int]:
+    row = adj[v]
+    return (deg[v], sum(deg[u] for u in _bits(row)),
+            sum(_popcount(adj[u] & row) for u in _bits(row)) // 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,14 +367,23 @@ def _all_classes(n: int) -> tuple[str, ...]:
     """Canonical forms of all simple graphs on n vertices (connected or not)."""
     if n == 1:
         return ("",)
+    k = n - 1  # the new vertex
+    weight = [_popcount(subset) for subset in range(1 << k)]
     seen: set[str] = set()
-    for bits in _all_classes(n - 1):
-        parent = _graph_from_bits(n - 1, bits)
-        ext_adj = list(parent.adj) + [0]
-        for subset in range(1 << (n - 1)):
-            adj = [ext_adj[v] | ((subset >> v & 1) << (n - 1)) for v in range(n - 1)]
-            adj.append(subset)
-            seen.add(canonical_form(Graph(n, tuple(adj))))
+    for bits in _all_classes(k):
+        parent = _graph_from_bits(k, bits).adj
+        top = max(_popcount(row) for row in parent)
+        top_mask = sum(1 << v for v in range(k) if _popcount(parent[v]) == top)
+        for subset in range(1 << k):
+            d = weight[subset]
+            # an old vertex of degree top gains one when it is in the subset
+            if d < top or (d == top and subset & top_mask):
+                continue
+            adj = tuple(row | (subset >> v & 1) << k for v, row in enumerate(parent)) + (subset,)
+            deg = [_popcount(row) for row in adj]
+            key = _vertex_key(adj, deg, k)
+            if all(deg[v] < d or _vertex_key(adj, deg, v) <= key for v in range(k)):
+                seen.add(_form(n, adj))
     return tuple(sorted(seen))
 
 

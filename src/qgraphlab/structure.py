@@ -219,14 +219,21 @@ def distance_regular_test(g: Graph, mode: str = "degree") -> bool:
     if not is_connected(g):
         raise DisconnectedGraphError("distance_regular_test requires a connected graph")
     dm = all_pairs_distances(g)
-    d = int(dm.max())
-    hist = np.stack([np.bincount(dm[v], minlength=d + 1) for v in range(g.n)])
-    if (hist != hist[0]).any():
-        return False
     if mode == "degree":
-        return True
-    # b_i / c_i must be pairwise-independent at every distance
-    for i in range(d + 1):
+        return _distance_degree_regular(dm)
+    return _distance_degree_regular(dm) and _intersection_array_holds(g, dm)
+
+
+def _distance_degree_regular(dm: np.ndarray) -> bool:
+    """Every vertex has the same number of vertices at each distance."""
+    d = int(dm.max())
+    hist = np.stack([np.bincount(row, minlength=d + 1) for row in dm])
+    return not (hist != hist[0]).any()
+
+
+def _intersection_array_holds(g: Graph, dm: np.ndarray) -> bool:
+    """b_i / c_i are the same for every pair at distance i, at every i."""
+    for i in range(int(dm.max()) + 1):
         b = c = None
         for u in range(g.n):
             for v in range(g.n):
@@ -347,16 +354,19 @@ def min_odd_cycle_count(g: Graph, cycle_counts: dict[int, int] | None = None) ->
 def structure_profile(g: Graph) -> StructureProfile:
     """Compute every structural property of one connected graph."""
     counts, basis = cycle_census(g)
+    dm = all_pairs_distances(g)
+    degree_regular = _distance_degree_regular(dm)
+    cuts = tuple(cut_vertices(g))
     return StructureProfile(
         edges=g.edge_count,
-        diameter=diameter(g),
+        diameter=int(dm.max()),
         clique_number=clique_number(g),
         bipartite=bipartite_test(g),
         eulerian=eulerian_test(g),
-        distance_regular=distance_regular_test(g, "degree"),
-        distance_regular_strict=distance_regular_test(g, "strict"),
-        cut_vertices=tuple(cut_vertices(g)),
-        cut_vertex_count=len(cut_vertices(g)),
+        distance_regular=degree_regular,
+        distance_regular_strict=degree_regular and _intersection_array_holds(g, dm),
+        cut_vertices=cuts,
+        cut_vertex_count=len(cuts),
         degree_sequence=tuple(sorted(g.degrees(), reverse=True)),
         cycle_counts=counts,
         cycle_basis=basis,

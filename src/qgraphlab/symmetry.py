@@ -71,35 +71,36 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[x] for x in b)
 
 
-def _closure(generators, n: int) -> set[tuple[int, ...]]:
-    identity = tuple(range(n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gen in generators:
-                q = _compose(gen, p)
-                if q not in group:
-                    group.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return group
+def _extend(group: set[tuple[int, ...]], generators) -> None:
+    """Grow the closed group H in ``group`` to the one generated by H and ``generators``.
+
+    Dimino's method: the new group is a union of right cosets H.r, and
+    right-multiplying a coset by a generator gives another coset, so each
+    new coset is added whole and its representative queued.  Every element
+    is composed once, instead of the whole group once per generator.
+    """
+    base = list(group)
+    reps = base[:1]  # any element of H represents the coset H itself
+    for r in reps:
+        for gen in generators:
+            rep = _compose(r, gen)
+            if rep not in group:
+                group.update(_compose(h, rep) for h in base)
+                reps.append(rep)
 
 
 def automorphism_group(g: Graph) -> AutomorphismSummary:
     """Group size, a greedy-lexicographic generating set, and vertex orbits."""
     perms = automorphisms(g)
     n = g.n
-    identity = tuple(range(n))
 
     generators: list[tuple[int, ...]] = []
-    reached = {identity}
+    reached = {tuple(range(n))}
     for p in perms:
-        if p == identity or p in reached:
+        if p in reached:
             continue
         generators.append(p)
-        reached = _closure(generators, n)
+        _extend(reached, generators)
         if len(reached) == len(perms):
             break
 
@@ -111,7 +112,7 @@ def automorphism_group(g: Graph) -> AutomorphismSummary:
             x = parent[x]
         return x
 
-    for p in perms:
+    for p in generators:  # the group's orbits are its generators' orbits
         for v in range(n):
             rv, rw = find(v), find(p[v])
             if rv != rw:

@@ -1,11 +1,12 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgraphlab.graphs import (Graph, Graph6Error, UnsupportedSizeError, canonical_form,
-                              canonical_graph, complete_bipartite, complete_graph,
+from qgraphlab.graphs import (Graph, Graph6Error, UnsupportedSizeError, _all_classes,
+                              canonical_form, canonical_graph, complete_bipartite, complete_graph,
                               connected_graph_count, cycle_graph, decode_graph6, encode_graph6,
                               enumerate_connected, is_connected, path_graph, relabel, star_graph)
 
@@ -187,6 +188,7 @@ class TestEnumeration:
         assert connected_graph_count(4) == 6
         assert connected_graph_count(5) == 21
         assert connected_graph_count(6) == 112
+        assert connected_graph_count(7) == 853
 
     def test_n3_classes(self):
         forms = {canonical_form(g) for g in enumerate_connected(3)}
@@ -208,6 +210,29 @@ class TestEnumeration:
         for n in (2, 9):
             with pytest.raises(UnsupportedSizeError):
                 enumerate_connected(n)
+
+
+class TestEnumerationAgainstAtlas:
+    """networkx's graph atlas lists every graph on 0..7 vertices, one per class."""
+
+    @staticmethod
+    def atlas_forms(connected_only):
+        forms = {}
+        for G in nx.graph_atlas_g():
+            n = G.number_of_nodes()
+            if n and (nx.is_connected(G) or not connected_only):
+                forms.setdefault(n, set()).add(canonical_form(Graph.from_edges(n, G.edges())))
+        return forms
+
+    def test_all_classes(self):
+        atlas = self.atlas_forms(connected_only=False)
+        for n in range(1, 8):
+            assert set(_all_classes(n)) == atlas[n]
+
+    def test_connected_classes(self):
+        atlas = self.atlas_forms(connected_only=True)
+        for n in range(3, 8):
+            assert [canonical_form(g) for g in enumerate_connected(n)] == sorted(atlas[n])
 
 
 class TestConstructions:

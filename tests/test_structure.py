@@ -7,10 +7,11 @@ import pytest
 
 from qgraphlab.graphs import (Graph, complete_bipartite, complete_graph, cycle_graph,
                               enumerate_connected, path_graph, relabel, star_graph)
-from qgraphlab.structure import (DisconnectedGraphError, all_pairs_distances, bipartite_test,
-                                 clique_number, cut_vertices, cut_vertices_by_deletion,
-                                 cycle_census, diameter, distance_regular_test, eulerian_test,
-                                 min_odd_cycle_count, structure_profile)
+from qgraphlab.structure import (DisconnectedGraphError, StructureProfile, all_pairs_distances,
+                                 bipartite_test, clique_number, cut_vertices,
+                                 cut_vertices_by_deletion, cycle_census, diameter,
+                                 distance_regular_test, eulerian_test, min_odd_cycle_count,
+                                 structure_profile)
 
 
 def to_networkx(g):
@@ -229,6 +230,26 @@ class TestProfile:
                 assert p.distance_regular
             if p.distance_regular:
                 assert len(set(p.degree_sequence)) == 1
+
+    def test_matches_public_functions(self):
+        for n in range(3, 7):
+            for g in enumerate_connected(n):
+                counts, basis = cycle_census(g)
+                assert structure_profile(g) == StructureProfile(
+                    edges=g.edge_count,
+                    diameter=diameter(g),
+                    clique_number=clique_number(g),
+                    bipartite=bipartite_test(g),
+                    eulerian=eulerian_test(g),
+                    distance_regular=distance_regular_test(g, "degree"),
+                    distance_regular_strict=distance_regular_test(g, "strict"),
+                    cut_vertices=tuple(cut_vertices(g)),
+                    cut_vertex_count=len(cut_vertices(g)),
+                    degree_sequence=tuple(sorted(g.degrees(), reverse=True)),
+                    cycle_counts=counts,
+                    cycle_basis=basis,
+                    min_odd_cycle_count=min_odd_cycle_count(g),
+                )
 
     def test_relabeling_invariance(self):
         rng = random.Random(5)

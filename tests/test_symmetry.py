@@ -20,7 +20,7 @@ def brute_force_automorphisms(g):
     return out
 
 
-def closure_size(generators, n):
+def closure(generators, n):
     identity = tuple(range(n))
     group = {identity}
     frontier = [identity]
@@ -33,7 +33,21 @@ def closure_size(generators, n):
                     group.add(q)
                     new.append(q)
         frontier = new
-    return len(group)
+    return group
+
+
+def closure_size(generators, n):
+    return len(closure(generators, n))
+
+
+def greedy_generators(perms, n):
+    """Greedy-lexicographic generators, closing the group from the identity after each."""
+    generators, reached = [], {tuple(range(n))}
+    for p in perms:
+        if p not in reached:
+            generators.append(p)
+            reached = closure(generators, n)
+    return tuple(generators)
 
 
 class TestAutomorphisms:
@@ -86,6 +100,15 @@ class TestGroupStructure:
         for g in sample:
             summary = automorphism_group(g)
             assert closure_size(summary.generators, g.n) == summary.group_size
+
+    def test_generators_and_orbits_match_reference(self):
+        for n in range(3, 7):
+            for g in enumerate_connected(n):
+                perms = automorphisms(g)
+                summary = automorphism_group(g)
+                assert summary.generators == greedy_generators(perms, n)
+                orbits = {tuple(sorted({p[v] for p in perms})) for v in range(n)}
+                assert summary.orbits == tuple(sorted(orbits))
 
     def test_trivial_group_has_no_generators(self):
         asym = next(g for g in enumerate_connected(6)
