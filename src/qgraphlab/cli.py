@@ -8,6 +8,7 @@ or malformed inputs, 3 missing input files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import analysis, datastore, pipeline, verify
@@ -96,7 +97,7 @@ def _cmd_props(args, config: datastore.RunConfig) -> int:
     sizes = {g.n for g in graphs}
     if len(sizes) != 1:
         raise ValueError(f"props expects one vertex count per file, found {sorted(sizes)}")
-    rows = pipeline.dataset_rows(graphs, workers=args.workers or config.workers or None)
+    rows = pipeline.dataset_rows(graphs, workers=config.workers or None)
     datastore.write_dataset_file(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -109,7 +110,7 @@ def _cmd_qaoa(args, config: datastore.RunConfig) -> int:
     starts = args.starts if args.starts is not None else config.starts
     seed = args.seed if args.seed is not None else config.seed
     rows = pipeline.qaoa_result_rows(graphs, args.p, starts, seed,
-                                     workers=args.workers or config.workers or None,
+                                     workers=config.workers or None,
                                      delta_eps=config.delta_eps)
     datastore.write_qaoa_results(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
@@ -179,6 +180,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = datastore.load_config(args.config) if args.config else datastore.RunConfig()
+        if getattr(args, "workers", None):  # --workers 0 keeps the config's count
+            config = dataclasses.replace(config, workers=args.workers)  # validates it
         if args.command == "graphs":
             return _cmd_graphs(args)
         if args.command == "props":

@@ -2,7 +2,9 @@
 configuration.
 
 One dataset file per vertex count, named graphs_n<k>.csv, UTF-8, header
-first.  List-valued fields are serialized as plain text:
+first.  A row dataclass's fields, in order, are its file's columns; a
+tuple field in _NUMBERED spans numbered columns, padded with empty cells.
+List-valued fields are serialized as plain text:
 
 * cut vertices and degree sequences: space-separated integers
 * permutations: "(0 2 1 3)" image lists, multiple joined by ";"
@@ -10,14 +12,16 @@ first.  List-valued fields are serialized as plain text:
 * cycle basis: each cycle "u-v u-v ...", cycles joined by ";"
 
 Real numbers are written with 12 significant digits; an empty cell is an
-undefined value.
+undefined value.  A record whose cell count differs from the header's is
+malformed.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .analysis import GroupAverageRow
 from .graphs import Graph, encode_graph6
@@ -40,11 +44,15 @@ __all__ = [
 
 
 class SchemaError(ValueError):
-    """A CSV header does not match the expected schema."""
+    """A CSV header or record does not match the expected schema."""
 
 
 def fmt_real(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _opt_real(x: float | None) -> str:
+    return "" if x is None else fmt_real(x)
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,11 @@ class DatasetRow:
     orbit_count: int
     cycle_count_by_len: tuple[int, ...]
     min_odd_cycle_count: int
+
+    def __post_init__(self):
+        if len(self.cycle_count_by_len) != max(self.n - 2, 0):
+            raise ValueError(f"graph {self.graph_id}: {len(self.cycle_count_by_len)} "
+                             f"cycle counts for n = {self.n}")
 
     @property
     def cycle_counts(self) -> dict[int, int]:
@@ -107,58 +120,53 @@ def build_dataset_row(g: Graph, profile, symmetry) -> DatasetRow:
     )
 
 
+@dataclass(frozen=True)
+class QaoaResultRow:
+    """Flat per-(graph, depth) record as stored in the results CSV."""
+
+    graph_id: int
+    n: int
+    graph6: str
+    p: int
+    gammas: tuple[float, ...]
+    betas: tuple[float, ...]
+    exp_c: float
+    prob_cmax: float
+    ratio: float
+    delta_ratio: float | None
+    cmax: int
+    optimal_count: int
+    starts: int
+    seed: int
+
+    def __post_init__(self):
+        if not len(self.gammas) == len(self.betas) == self.p:
+            raise ValueError(f"graph {self.graph_id}: {len(self.gammas)} gammas and "
+                             f"{len(self.betas)} betas at p = {self.p}")
+
+    @staticmethod
+    def from_outcome(g: Graph, mc, outcome: QaoaOutcome, starts: int, seed: int) -> "QaoaResultRow":
+        return QaoaResultRow(
+            graph_id=g.id, n=g.n, graph6=encode_graph6(g), p=outcome.p,
+            gammas=outcome.best_angles.gammas, betas=outcome.best_angles.betas,
+            exp_c=outcome.exp_c, prob_cmax=outcome.prob_cmax, ratio=outcome.ratio,
+            delta_ratio=outcome.delta_ratio, cmax=mc.cmax,
+            optimal_count=mc.optimal_count, starts=starts, seed=seed,
+        )
+
+    def as_outcome(self) -> QaoaOutcome:
+        return QaoaOutcome(
+            graph_id=self.graph_id, p=self.p,
+            best_angles=AngleVector(self.gammas, self.betas),
+            exp_c=self.exp_c, prob_cmax=self.prob_cmax, ratio=self.ratio,
+            delta_ratio=self.delta_ratio,
+            optimizer_stats=OptimizerStats("from-file", self.starts, -1, 0),
+        )
+
+
 # ---------------------------------------------------------------------------
-# field serializers
+# the column schema: one (to_text, from_text) codec per field
 # ---------------------------------------------------------------------------
-
-
-def _ints_to_text(values) -> str:
-    return " ".join(str(v) for v in values)
-
-
-def _ints_from_text(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split()) if text else ()
-
-
-def _perm_to_text(perm) -> str:
-    return "(" + " ".join(str(v) for v in perm) + ")"
-
-
-def _perm_from_text(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.strip("()").split())
-
-
-def _perms_to_text(perms) -> str:
-    return ";".join(_perm_to_text(p) for p in perms)
-
-
-def _perms_from_text(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(_perm_from_text(tok) for tok in text.split(";")) if text else ()
-
-
-def _orbits_to_text(orbits) -> str:
-    return ";".join(_ints_to_text(orbit) for orbit in orbits)
-
-
-def _orbits_from_text(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(_ints_from_text(tok) for tok in text.split(";")) if text else ()
-
-
-def _basis_to_text(basis) -> str:
-    return ";".join(" ".join(f"{u}-{v}" for u, v in cycle) for cycle in basis)
-
-
-def _basis_from_text(text: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    if not text:
-        return ()
-    cycles = []
-    for tok in text.split(";"):
-        cycles.append(tuple(tuple(int(x) for x in edge.split("-")) for edge in tok.split()))
-    return tuple(cycles)
-
-
-def _bool_to_text(value: bool) -> str:
-    return "1" if value else "0"
 
 
 def _bool_from_text(text: str) -> bool:
@@ -167,20 +175,129 @@ def _bool_from_text(text: str) -> bool:
     return text == "1"
 
 
+_INT = (str, int)
+_REAL = (fmt_real, float)
+_BOOL = (lambda value: "1" if value else "0", _bool_from_text)
+
+
+def _seq(sep: str, inner=_INT, wrap: str = ""):
+    """Codec of a tuple: its elements' texts joined by `sep`, the whole
+    wrapped in the two characters of `wrap`, if given; "" is ()."""
+    to_inner, from_inner = inner
+    left, right = wrap[:1], wrap[1:]
+
+    def to_text(values) -> str:
+        return f"{left}{sep.join(map(to_inner, values))}{right}"
+
+    def from_text(text: str) -> tuple:
+        text = text.strip(wrap)
+        return tuple(map(from_inner, text.split(sep))) if text else ()
+
+    return to_text, from_text
+
+
+# Codec of every field that is not a plain int; a numbered field's codec
+# is that of one element.
+_CODECS = {
+    "graph6": (str, str),
+    "bipartite": _BOOL,
+    "distance_regular": _BOOL,
+    "distance_regular_strict": _BOOL,
+    "eulerian": _BOOL,
+    "cut_vertices": _seq(" "),
+    "cycle_basis": _seq(";", _seq(" ", _seq("-"))),
+    "degree_sequence": _seq(" "),
+    "automorphism_generators": _seq(";", _seq(" ", wrap="()")),
+    "orbits": _seq(";", _seq(" ")),
+    "gammas": _REAL,
+    "betas": _REAL,
+    "exp_c": _REAL,
+    "prob_cmax": _REAL,
+    "ratio": _REAL,
+    "delta_ratio": (_opt_real, lambda text: float(text) if text else None),
+}
+
+# Tuple fields stored one element per column: field -> (column prefix,
+# number of the first column).
+_NUMBERED = {
+    "cycle_count_by_len": ("cycle_count_", 3),
+    "gammas": ("gamma_", 1),
+    "betas": ("beta_", 1),
+}
+
+
+def _schema(cls, width):
+    """Header of cls's file and its (to_text, from_text, width) plan per
+    field.  width(name, prefix) sizes a numbered field; the plan's width is
+    None for a one-column field."""
+    header, plan = [], []
+    for f in fields(cls):
+        to_text, from_text = _CODECS.get(f.name, _INT)
+        if f.name in _NUMBERED:
+            prefix, first = _NUMBERED[f.name]
+            w = width(f.name, prefix)
+            header += [f"{prefix}{i}" for i in range(first, first + w)]
+        else:
+            w = None
+            header.append(f.name)
+        plan.append((to_text, from_text, w))
+    return header, plan
+
+
+def _write_csv(path: str, header, records) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(records)
+
+
+def _write_rows(path: str, cls, rows) -> None:
+    header, plan = _schema(cls, lambda name, _: max((len(getattr(r, name)) for r in rows), default=0))
+    columns = []
+    for f, (to_text, _, w) in zip(fields(cls), plan):
+        values = map(attrgetter(f.name), rows)
+        if w is None:
+            columns.append(map(to_text, values))
+        else:
+            columns += zip(*(list(map(to_text, v)) + [""] * (w - len(v)) for v in values))
+    _write_csv(path, header, zip(*columns))
+
+
+def _read_rows(path: str, cls) -> list:
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
+        expected, plan = _schema(cls, lambda _, prefix: sum(c.startswith(prefix) for c in header))
+        for got, want in zip(header, expected):
+            if got != want:
+                raise SchemaError(f"unexpected column {got!r} where {want!r} expected")
+        if len(header) != len(expected):
+            raise SchemaError(f"expected {len(expected)} columns, found {len(header)}")
+        rows = []
+        for rec in reader:
+            if len(rec) != len(header):
+                raise SchemaError(f"{path}:{reader.line_num}: expected {len(header)} cells, "
+                                  f"found {len(rec)}")
+            values, i = [], 0
+            for _, from_text, w in plan:
+                if w is None:
+                    values.append(from_text(rec[i]))
+                    i += 1
+                else:
+                    cells = rec[i:i + w]
+                    while cells and not cells[-1]:  # padding; an empty cell inside is malformed
+                        cells.pop()
+                    values.append(tuple(map(from_text, cells)))
+                    i += w
+            rows.append(cls(*values))
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# dataset files
+# dataset and QAOA result files
 # ---------------------------------------------------------------------------
-
-_FIXED_COLUMNS = [
-    "graph_id", "n", "graph6", "bipartite", "edges", "diameter", "clique_number",
-    "distance_regular", "distance_regular_strict", "eulerian", "cut_vertices",
-    "cut_vertex_count", "cycle_basis", "degree_sequence", "automorphism_generators",
-    "group_size", "orbits", "orbit_count",
-]
-
-
-def dataset_columns(n: int) -> list[str]:
-    return _FIXED_COLUMNS + [f"cycle_count_{k}" for k in range(3, n + 1)] + ["min_odd_cycle_count"]
 
 
 def dataset_filename(n: int) -> str:
@@ -203,170 +320,22 @@ def write_dataset_file(rows, target: str) -> None:
     rows = sorted(rows, key=lambda r: r.graph_id)
     if not rows:
         raise ValueError("no rows to write")
-    n = rows[0].n
-    if any(r.n != n for r in rows):
+    if any(r.n != rows[0].n for r in rows):
         raise ValueError("dataset files hold a single vertex count per file")
-    with open(target, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset_columns(n))
-        for r in rows:
-            writer.writerow([
-                r.graph_id, r.n, r.graph6,
-                _bool_to_text(r.bipartite), r.edges, r.diameter, r.clique_number,
-                _bool_to_text(r.distance_regular), _bool_to_text(r.distance_regular_strict),
-                _bool_to_text(r.eulerian),
-                _ints_to_text(r.cut_vertices), r.cut_vertex_count,
-                _basis_to_text(r.cycle_basis), _ints_to_text(r.degree_sequence),
-                _perms_to_text(r.automorphism_generators), r.group_size,
-                _orbits_to_text(r.orbits), r.orbit_count,
-                *r.cycle_count_by_len, r.min_odd_cycle_count,
-            ])
+    _write_rows(target, DatasetRow, rows)
 
 
 def read_dataset(path: str) -> list[DatasetRow]:
     """Exact inverse of write_dataset for one graphs_n<k>.csv file."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("empty dataset file")
-        body = list(reader)
-    if not body:
-        return []
-    n = int(body[0][1])
-    expected = dataset_columns(n)
-    for got, want in zip(header, expected):
-        if got != want:
-            raise SchemaError(f"unexpected column {got!r} where {want!r} expected")
-    if len(header) != len(expected):
-        raise SchemaError(f"expected {len(expected)} columns, found {len(header)}; "
-                          f"first mismatch at {header[len(expected):] or expected[len(header):]}")
-    rows = []
-    for rec in body:
-        vals = dict(zip(header, rec))
-        rows.append(DatasetRow(
-            graph_id=int(vals["graph_id"]),
-            n=int(vals["n"]),
-            graph6=vals["graph6"],
-            bipartite=_bool_from_text(vals["bipartite"]),
-            edges=int(vals["edges"]),
-            diameter=int(vals["diameter"]),
-            clique_number=int(vals["clique_number"]),
-            distance_regular=_bool_from_text(vals["distance_regular"]),
-            distance_regular_strict=_bool_from_text(vals["distance_regular_strict"]),
-            eulerian=_bool_from_text(vals["eulerian"]),
-            cut_vertices=_ints_from_text(vals["cut_vertices"]),
-            cut_vertex_count=int(vals["cut_vertex_count"]),
-            cycle_basis=_basis_from_text(vals["cycle_basis"]),
-            degree_sequence=_ints_from_text(vals["degree_sequence"]),
-            automorphism_generators=_perms_from_text(vals["automorphism_generators"]),
-            group_size=int(vals["group_size"]),
-            orbits=_orbits_from_text(vals["orbits"]),
-            orbit_count=int(vals["orbit_count"]),
-            cycle_count_by_len=tuple(int(vals[f"cycle_count_{k}"]) for k in range(3, int(vals["n"]) + 1)),
-            min_odd_cycle_count=int(vals["min_odd_cycle_count"]),
-        ))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# QAOA result files
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QaoaResultRow:
-    """Flat per-(graph, depth) record as stored in the results CSV."""
-
-    graph_id: int
-    n: int
-    graph6: str
-    p: int
-    gammas: tuple[float, ...]
-    betas: tuple[float, ...]
-    exp_c: float
-    prob_cmax: float
-    ratio: float
-    delta_ratio: float | None
-    cmax: int
-    optimal_count: int
-    starts: int
-    seed: int
-
-    @staticmethod
-    def from_outcome(g: Graph, mc, outcome: QaoaOutcome, starts: int, seed: int) -> "QaoaResultRow":
-        return QaoaResultRow(
-            graph_id=g.id, n=g.n, graph6=encode_graph6(g), p=outcome.p,
-            gammas=outcome.best_angles.gammas, betas=outcome.best_angles.betas,
-            exp_c=outcome.exp_c, prob_cmax=outcome.prob_cmax, ratio=outcome.ratio,
-            delta_ratio=outcome.delta_ratio, cmax=mc.cmax,
-            optimal_count=mc.optimal_count, starts=starts, seed=seed,
-        )
-
-    def as_outcome(self) -> QaoaOutcome:
-        return QaoaOutcome(
-            graph_id=self.graph_id, p=self.p,
-            best_angles=AngleVector(self.gammas, self.betas),
-            exp_c=self.exp_c, prob_cmax=self.prob_cmax, ratio=self.ratio,
-            delta_ratio=self.delta_ratio,
-            optimizer_stats=OptimizerStats("from-file", self.starts, -1, 0),
-        )
-
-
-def qaoa_columns(pmax: int) -> list[str]:
-    return (["graph_id", "n", "graph6", "p"]
-            + [f"gamma_{i}" for i in range(1, pmax + 1)]
-            + [f"beta_{i}" for i in range(1, pmax + 1)]
-            + ["exp_c", "prob_cmax", "ratio", "delta_ratio", "cmax",
-               "optimal_count", "starts", "seed"])
+    return _read_rows(path, DatasetRow)
 
 
 def write_qaoa_results(rows, path: str) -> None:
-    rows = sorted(rows, key=lambda r: (r.graph_id, r.p))
-    pmax = max((r.p for r in rows), default=0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(qaoa_columns(pmax))
-        for r in rows:
-            gam = [fmt_real(x) for x in r.gammas] + [""] * (pmax - r.p)
-            bet = [fmt_real(x) for x in r.betas] + [""] * (pmax - r.p)
-            writer.writerow([
-                r.graph_id, r.n, r.graph6, r.p, *gam, *bet,
-                fmt_real(r.exp_c), fmt_real(r.prob_cmax), fmt_real(r.ratio),
-                "" if r.delta_ratio is None else fmt_real(r.delta_ratio),
-                r.cmax, r.optimal_count, r.starts, r.seed,
-            ])
+    _write_rows(path, QaoaResultRow, sorted(rows, key=lambda r: (r.graph_id, r.p)))
 
 
 def read_qaoa_results(path: str) -> list[QaoaResultRow]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("empty results file")
-        gamma_cols = [c for c in header if c.startswith("gamma_")]
-        pmax = len(gamma_cols)
-        expected = qaoa_columns(pmax)
-        for got, want in zip(header, expected):
-            if got != want:
-                raise SchemaError(f"unexpected column {got!r} where {want!r} expected")
-        if len(header) != len(expected):
-            raise SchemaError("results header has the wrong column count")
-        rows = []
-        for rec in reader:
-            vals = dict(zip(header, rec))
-            p = int(vals["p"])
-            rows.append(QaoaResultRow(
-                graph_id=int(vals["graph_id"]), n=int(vals["n"]), graph6=vals["graph6"], p=p,
-                gammas=tuple(float(vals[f"gamma_{i}"]) for i in range(1, p + 1)),
-                betas=tuple(float(vals[f"beta_{i}"]) for i in range(1, p + 1)),
-                exp_c=float(vals["exp_c"]), prob_cmax=float(vals["prob_cmax"]),
-                ratio=float(vals["ratio"]),
-                delta_ratio=None if vals["delta_ratio"] == "" else float(vals["delta_ratio"]),
-                cmax=int(vals["cmax"]), optimal_count=int(vals["optimal_count"]),
-                starts=int(vals["starts"]), seed=int(vals["seed"]),
-            ))
-    return rows
+    return _read_rows(path, QaoaResultRow)
 
 
 # ---------------------------------------------------------------------------
@@ -375,40 +344,27 @@ def read_qaoa_results(path: str) -> list[QaoaResultRow]:
 
 
 def write_correlation_csv(cells, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "p", "property", "metric", "r", "sample_size"])
-        for cell in cells:
-            writer.writerow([cell.n, cell.p, cell.property, cell.metric,
-                             "" if cell.r is None else fmt_real(cell.r), cell.sample_size])
+    _write_csv(path, ["n", "p", "property", "metric", "r", "sample_size"],
+               ([c.n, c.p, c.property, c.metric, _opt_real(c.r), c.sample_size] for c in cells))
 
 
 def write_averages_csv(rows: list[GroupAverageRow], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "p", "flag", "polarity", "mean_prob", "mean_exp_c",
-                         "mean_ratio", "mean_delta"])
-        for r in rows:
-            writer.writerow([r.n, r.p, r.flag, r.polarity,
-                             fmt_real(r.mean_prob), fmt_real(r.mean_exp_c), fmt_real(r.mean_ratio),
-                             "" if r.mean_delta is None else fmt_real(r.mean_delta)])
+    _write_csv(path, ["n", "p", "flag", "polarity", "mean_prob", "mean_exp_c", "mean_ratio",
+                      "mean_delta"],
+               ([r.n, r.p, r.flag, r.polarity, fmt_real(r.mean_prob), fmt_real(r.mean_exp_c),
+                 fmt_real(r.mean_ratio), _opt_real(r.mean_delta)] for r in rows))
 
 
 def write_histogram_csv(spec, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "subgroup", "fraction"])
-        for subgroup, fractions in spec.fractions.items():
-            for lo, hi, frac in zip(spec.bin_edges, spec.bin_edges[1:], fractions):
-                writer.writerow([fmt_real(lo), fmt_real(hi), subgroup, fmt_real(frac)])
+    _write_csv(path, ["bin_lo", "bin_hi", "subgroup", "fraction"],
+               ([fmt_real(lo), fmt_real(hi), subgroup, fmt_real(frac)]
+                for subgroup, fractions in spec.fractions.items()
+                for lo, hi, frac in zip(spec.bin_edges, spec.bin_edges[1:], fractions)))
 
 
 def write_signs_csv(symbols: dict, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["property", "metric", "symbol"])
-        for (prop, metric), symbol in symbols.items():
-            writer.writerow([prop, metric, symbol])
+    _write_csv(path, ["property", "metric", "symbol"],
+               ([prop, metric, symbol] for (prop, metric), symbol in symbols.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -418,36 +374,25 @@ def write_signs_csv(symbols: dict, path: str) -> None:
 
 @dataclass
 class RunConfig:
-    """Pipeline configuration; flat key=value files override the defaults."""
+    """Run defaults for `props` and `qaoa`; flat key=value files override them."""
 
-    n_min: int = 3
-    n_max: int = 8
-    p_max: int = 3
     starts: int = 200
     seed: int = 0
-    out_dir: str = "."
     workers: int = 0  # 0 = available parallelism
     delta_eps: float = DELTA_EPS
 
     def __post_init__(self):
-        if not 3 <= self.n_min <= self.n_max <= 8:
-            raise ValueError(f"n range must satisfy 3 <= n_min <= n_max <= 8")
-        if not 0 <= self.p_max <= 3:
-            raise ValueError("p_max must be within 0..3")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0")
         if not self.delta_eps > 0:
             raise ValueError("delta_eps must be > 0")
 
 
-_CONFIG_TYPES = {
-    "n_min": int, "n_max": int, "p_max": int, "starts": int, "seed": int,
-    "out_dir": str, "workers": int, "delta_eps": float,
-}
-
-
 def load_config(path: str) -> RunConfig:
     """Parse a flat key=value config file (blank lines and # comments skipped)."""
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -458,7 +403,7 @@ def load_config(path: str) -> RunConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_TYPES[key](value.strip())
+            values[key] = types[key](value.strip())
     return RunConfig(**values)

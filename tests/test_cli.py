@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -152,6 +153,29 @@ class TestExitCodes:
         assert main(["qaoa", "--in", str(g6), "--p", "5", "--starts", "2",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("which, lineno, edit", [
+        ("props", 3, lambda line: line.rsplit(",", 8)[0]),
+        ("props", 2, lambda line: line + ",0"),
+        ("qaoa", 4, lambda line: ",".join(line.split(",")[:4])),
+    ], ids=["truncated-props-row", "extra-props-cell", "truncated-results-row"])
+    def test_malformed_record_is_2(self, n4_run, capsys, which, lineno, edit):
+        tmp, _, props, qaoa = n4_run
+        path = props if which == "props" else qaoa
+        lines = open(path).read().splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        open(path, "w").write("\n".join(lines) + "\n")
+        assert main(["analyze", "corr", "--props", props, "--qaoa", qaoa,
+                     "--out", str(tmp / "c.csv")]) == 2
+        assert f"{path}:{lineno}:" in capsys.readouterr().err
+
+    def test_negative_workers_is_2(self, tmp_path, capsys):
+        g6 = tmp_path / "n4.g6"
+        assert main(["graphs", "gen", "--n", "4", "--out", str(g6)]) == 0
+        code = main(["props", "--in", str(g6), "--out", str(tmp_path / "x.csv"),
+                     "--workers", "-3"])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+
     def test_config_defaults_applied(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("starts=4\nseed=11\nworkers=1\n")
@@ -181,3 +205,26 @@ class TestExitCodes:
         # some previous-depth gap lies between the default 1e-9 and 0.5, so
         # the configured value, not the default, decides those cells
         assert any(1e-9 <= gap < 0.5 for gap in gaps)
+
+
+class TestFileBytes:
+    # sha256 of the n = 5 props and depth-0 results files; the p >= 1 angle
+    # digits are not pinned, since equivalent optima may still trade places
+    PROPS_N5 = "083389a9c614ea5aad5f7d674a81b0e785b823b0e4f8a1bc9d22c6780bf1f132"
+    QAOA_P0_N5 = "4be1b3d3b68554aa9345977b10d56a04852b6c61edd6632204f3c77a0d058b88"
+
+    def test_pinned_bytes_and_padding(self, n4_run):
+        tmp, _, _, qaoa2 = n4_run
+        g6, props, qaoa0 = (str(tmp / name) for name in ("n5.g6", "props5.csv", "qaoa5.csv"))
+        assert main(["graphs", "gen", "--n", "5", "--out", g6]) == 0
+        assert main(["props", "--in", g6, "--out", props, "--workers", "1"]) == 0
+        assert main(["qaoa", "--in", g6, "--p", "0", "--out", qaoa0, "--workers", "1"]) == 0
+        assert hashlib.sha256(open(props, "rb").read()).hexdigest() == self.PROPS_N5
+        assert hashlib.sha256(open(qaoa0, "rb").read()).hexdigest() == self.QAOA_P0_N5
+
+        header, *records = open(qaoa2).read().splitlines()
+        assert header == ("graph_id,n,graph6,p,gamma_1,gamma_2,beta_1,beta_2,exp_c,prob_cmax,"
+                          "ratio,delta_ratio,cmax,optimal_count,starts,seed")
+        depth0 = [rec.split(",") for rec in records if rec.split(",")[3] == "0"]
+        assert len(depth0) == 6
+        assert all(cells[4:8] == ["", "", "", ""] for cells in depth0)

@@ -50,6 +50,15 @@ class TestDatasetRoundTrip:
         with pytest.raises(SchemaError, match="cliquish"):
             read_dataset(target)
 
+    def test_cycle_count_columns_must_match_n(self, tmp_path):
+        target = write_dataset(rows_for(4), str(tmp_path))
+        lines = open(target).read().splitlines()
+        cells = lines[1].split(",")
+        cells[1] = "5"
+        open(target, "w").write("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match="cycle counts for n = 5"):
+            read_dataset(target)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_randomized_rows_roundtrip(self, tmp_path_factory, data):
@@ -122,10 +131,52 @@ class TestQaoaResults:
         assert cols["p"] == "0"
         assert cols["delta_ratio"] == ""
 
+    @pytest.mark.parametrize("column, text", [(4, ""), (3, "1"), (5, "")])
+    def test_angle_cells_must_match_depth(self, result_rows, tmp_path, column, text):
+        # the last row has p = 2: empty gamma_1 before a filled gamma_2, a p
+        # that disagrees with the filled angle cells, and a missing gamma_2
+        target = os.path.join(tmp_path, "qaoa.csv")
+        write_qaoa_results(result_rows, target)
+        lines = open(target).read().splitlines()
+        cells = lines[-1].split(",")
+        assert cells[3] == "2"
+        cells[column] = text
+        open(target, "w").write("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+        with pytest.raises(ValueError):
+            read_qaoa_results(target)
+
     def test_outcome_conversion(self, result_rows):
         out = result_rows[-1].as_outcome()
         assert out.p == result_rows[-1].p
         assert out.exp_c == result_rows[-1].exp_c
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_randomized_rows_rewrite_identically(self, tmp_path_factory, data):
+        # mixed depths pad the numbered angle columns; a second write of what
+        # was read back must reproduce the file byte for byte
+        reals = st.floats(allow_nan=False, allow_infinity=False)
+        rows = []
+        for graph_id in range(1, data.draw(st.integers(1, 5)) + 1):
+            p = data.draw(st.integers(0, 3))
+            angles = st.lists(reals, min_size=p, max_size=p).map(tuple)
+            rows.append(QaoaResultRow(
+                graph_id=graph_id, n=data.draw(st.integers(3, 8)),
+                graph6=data.draw(st.text("ABC?~_", min_size=1, max_size=5)), p=p,
+                gammas=data.draw(angles), betas=data.draw(angles),
+                exp_c=data.draw(reals), prob_cmax=data.draw(reals), ratio=data.draw(reals),
+                delta_ratio=data.draw(st.none() | reals), cmax=data.draw(st.integers(0, 28)),
+                optimal_count=data.draw(st.integers(0, 256)), starts=data.draw(st.integers(1, 200)),
+                seed=data.draw(st.integers(0, 2**31)),
+            ))
+        first = tmp_path_factory.mktemp("qr") / "first.csv"
+        second = first.with_name("second.csv")
+        write_qaoa_results(rows, str(first))
+        back = read_qaoa_results(str(first))
+        assert [(r.graph_id, r.p, r.delta_ratio is None) for r in back] == \
+               [(r.graph_id, r.p, r.delta_ratio is None) for r in rows]
+        write_qaoa_results(back, str(second))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_twelve_significant_digits(self):
         assert fmt_real(0.1234567890123456) == "0.123456789012"
@@ -135,13 +186,9 @@ class TestQaoaResults:
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert (cfg.n_min, cfg.n_max, cfg.p_max, cfg.starts) == (3, 8, 3, 200)
+        assert cfg.starts == 200
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(n_min=2)
-        with pytest.raises(ValueError):
-            RunConfig(p_max=4)
         with pytest.raises(ValueError):
             RunConfig(starts=0)
 
@@ -153,9 +200,23 @@ class TestRunConfig:
 
     def test_load(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# pipeline settings\nn_min=4\nn_max = 6\nstarts=50\nseed=9\nworkers=2\n")
+        path.write_text("# pipeline settings\nstarts = 50\nseed=9\nworkers=2\n")
         cfg = load_config(str(path))
-        assert (cfg.n_min, cfg.n_max, cfg.starts, cfg.seed, cfg.workers) == (4, 6, 50, 9, 2)
+        assert (cfg.starts, cfg.seed, cfg.workers) == (50, 9, 2)
+
+    def test_negative_workers_rejected(self, tmp_path):
+        assert RunConfig(workers=0).workers == 0
+        path = tmp_path / "run.cfg"
+        path.write_text("workers=-5\n")
+        with pytest.raises(ValueError, match="workers"):
+            load_config(str(path))
+
+    def test_removed_key_rejected(self, tmp_path):
+        # n_min, n_max, p_max and out_dir were once accepted and never read
+        path = tmp_path / "run.cfg"
+        path.write_text("n_min=4\n")
+        with pytest.raises(ValueError, match="unknown config key 'n_min'"):
+            load_config(str(path))
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
