@@ -176,12 +176,12 @@ def group_averages(rows, outcomes, n: int, p: int, flag: str) -> tuple[GroupAver
 
 
 def histogram(rows, outcomes, n: int, p: int, flag: str, metric: str = "prob_cmax",
-              bins: int = 20, value_range: tuple[float, float] = (0.0, 1.0)) -> HistogramSpec:
-    """Per-subgroup bin fractions of one metric (final bin right-closed)."""
+              bins: int = 20) -> HistogramSpec:
+    """Per-subgroup bin fractions of one metric over [0, 1] (final bin right-closed)."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     pairs = _paired(rows, outcomes, n, p)
-    edges = np.linspace(value_range[0], value_range[1], bins + 1)
+    edges = np.linspace(0.0, 1.0, bins + 1)
     fractions: dict[str, tuple[float, ...]] = {}
     for polarity, keep in (("member", True), ("non-member", False)):
         values = [metric_value(o, metric) for row, o in pairs

@@ -24,7 +24,7 @@ EXIT_MISSING_INPUT = 3
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgraphlab",
                                      description="Exhaustive QAOA MaxCut study on small graphs")
-    parser.add_argument("--config", help="flat key=value config file with run defaults")
+    parser.add_argument("--config", help="flat key=value file of run settings (see RunConfig)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     graphs = sub.add_parser("graphs", help="enumerate connected non-isomorphic graphs")
@@ -35,40 +35,46 @@ def _build_parser() -> argparse.ArgumentParser:
     count = graphs_sub.add_parser("count", help="print the number of graphs")
     count.add_argument("--n", type=int, required=True)
 
-    props = sub.add_parser("props", help="per-graph structure and symmetry dataset")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, help="worker processes (0 = all cores)")
+    search = argparse.ArgumentParser(add_help=False, parents=[workers])
+    search.add_argument("--starts", type=int, help="random starts per depth (default 200)")
+    search.add_argument("--seed", type=int, help="global seed (default 0)")
+
+    props = sub.add_parser("props", parents=[workers],
+                           help="per-graph structure and symmetry dataset")
     props.add_argument("--in", dest="infile", required=True, help="graph6 input file")
     props.add_argument("--out", required=True, help="dataset CSV to write")
-    props.add_argument("--workers", type=int)
 
-    qaoa_cmd = sub.add_parser("qaoa", help="optimize angles and store metrics for depths 0..P")
+    qaoa_cmd = sub.add_parser("qaoa", parents=[search],
+                              help="optimize angles and store metrics for depths 0..P")
     qaoa_cmd.add_argument("--in", dest="infile", required=True, help="graph6 input file")
     qaoa_cmd.add_argument("--p", type=int, required=True, help="maximum depth (0..3)")
-    qaoa_cmd.add_argument("--starts", type=int, help="random starts per depth (default 200)")
-    qaoa_cmd.add_argument("--seed", type=int, help="global seed (default 0)")
     qaoa_cmd.add_argument("--out", required=True, help="results CSV to write")
-    qaoa_cmd.add_argument("--workers", type=int)
 
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--props", required=True, help="dataset CSV from `props`")
+    inputs.add_argument("--qaoa", dest="qaoa_file", required=True, help="results CSV from `qaoa`")
+    inputs.add_argument("--out", required=True)
     an = sub.add_parser("analyze", help="statistics over props + qaoa CSVs")
-    an.add_argument("mode", choices=["corr", "avg", "hist", "signs"])
-    an.add_argument("--props", required=True, help="dataset CSV from `props`")
-    an.add_argument("--qaoa", dest="qaoa_file", required=True, help="results CSV from `qaoa`")
-    an.add_argument("--flag", choices=["bipartite", "eulerian"],
-                    help="subgroup flag (avg and hist)")
-    an.add_argument("--bins", type=int, default=20, help="histogram bins (default 20)")
-    an.add_argument("--metric", default="prob_cmax", choices=list(analysis.METRIC_NAMES),
-                    help="histogram metric (default prob_cmax)")
-    an.add_argument("--p", type=int, help="histogram depth (default: largest present)")
-    an.add_argument("--out", required=True)
+    modes = an.add_subparsers(dest="mode", required=True)
+    modes.add_parser("corr", parents=[inputs], help="correlations for every n and p")
+    avg = modes.add_parser("avg", parents=[inputs], help="subgroup means")
+    hist = modes.add_parser("hist", parents=[inputs], help="subgroup histogram of one metric")
+    modes.add_parser("signs", parents=[inputs], help="sign summary over depths 1..3")
+    for mode in (avg, hist):
+        mode.add_argument("--flag", choices=["bipartite", "eulerian"], help="subgroup flag")
+    hist.add_argument("--bins", type=int, default=20, help="histogram bins (default 20)")
+    hist.add_argument("--metric", default="prob_cmax", choices=list(analysis.METRIC_NAMES),
+                      help="histogram metric (default prob_cmax)")
+    hist.add_argument("--p", type=int, help="histogram depth (default: largest present)")
 
-    ver = sub.add_parser("verify", help="run the acceptance suites")
+    ver = sub.add_parser("verify", parents=[search], help="run the acceptance suites")
     ver.add_argument("--suite", choices=["golden", "invariants"], required=True)
     ver.add_argument("--long", action="store_true",
                      help="include the n<=6 correlation-grid reproduction (tens of minutes)")
     ver.add_argument("--huge", action="store_true",
                      help="include the n=8 sign grid (multi-hour)")
-    ver.add_argument("--starts", type=int, default=200)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--workers", type=int)
     return parser
 
 
@@ -97,7 +103,7 @@ def _cmd_props(args, config: datastore.RunConfig) -> int:
     sizes = {g.n for g in graphs}
     if len(sizes) != 1:
         raise ValueError(f"props expects one vertex count per file, found {sorted(sizes)}")
-    rows = pipeline.dataset_rows(graphs, workers=config.workers or None)
+    rows = pipeline.dataset_rows(graphs, workers=config.workers)
     datastore.write_dataset_file(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -107,11 +113,8 @@ def _cmd_qaoa(args, config: datastore.RunConfig) -> int:
     if not 0 <= args.p <= 3:
         raise ValueError(f"--p must be within 0..3, got {args.p}")
     graphs = _load_graphs(args.infile)
-    starts = args.starts if args.starts is not None else config.starts
-    seed = args.seed if args.seed is not None else config.seed
-    rows = pipeline.qaoa_result_rows(graphs, args.p, starts, seed,
-                                     workers=config.workers or None,
-                                     delta_eps=config.delta_eps)
+    rows = pipeline.qaoa_result_rows(graphs, args.p, config.starts, config.seed,
+                                     workers=config.workers, delta_eps=config.delta_eps)
     datastore.write_qaoa_results(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -128,6 +131,8 @@ def _analysis_inputs(args):
 
 
 def _cmd_analyze(args) -> int:
+    if args.mode in ("avg", "hist") and not args.flag:
+        raise ValueError(f"analyze {args.mode} requires --flag bipartite|eulerian")
     rows, outcomes_by_n, sizes, depths = _analysis_inputs(args)
     if args.mode == "corr":
         cells = []
@@ -136,16 +141,12 @@ def _cmd_analyze(args) -> int:
                 cells.extend(analysis.correlation_table(rows, outcomes_by_n[n], n, p))
         datastore.write_correlation_csv(cells, args.out)
     elif args.mode == "avg":
-        if not args.flag:
-            raise ValueError("analyze avg requires --flag bipartite|eulerian")
         avg_rows = []
         for n in sizes:
             for p in depths:
                 avg_rows.extend(analysis.group_averages(rows, outcomes_by_n[n], n, p, args.flag))
         datastore.write_averages_csv(avg_rows, args.out)
     elif args.mode == "hist":
-        if not args.flag:
-            raise ValueError("analyze hist requires --flag bipartite|eulerian")
         if len(sizes) != 1:
             raise ValueError(f"analyze hist expects one vertex count, found {sizes}")
         p = args.p if args.p is not None else max(depths)
@@ -164,12 +165,11 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, config: datastore.RunConfig) -> int:
     if args.suite == "golden":
-        results = verify.golden_suite(include_slow=args.long, include_huge=args.huge,
-                                      starts=args.starts, seed=args.seed, workers=args.workers)
+        results = verify.golden_suite(args.long, args.huge, **dataclasses.asdict(config))
     else:
-        results = verify.invariant_suite(workers=args.workers)
+        results = verify.invariant_suite(workers=config.workers)
     for result in results:
         print(result.line())
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
@@ -180,8 +180,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = datastore.load_config(args.config) if args.config else datastore.RunConfig()
-        if getattr(args, "workers", None):  # --workers 0 keeps the config's count
-            config = dataclasses.replace(config, workers=args.workers)  # validates it
+        flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(config)
+                 if getattr(args, f.name, None) is not None}
+        config = dataclasses.replace(config, **flags)  # a flag beats the config; validates all
         if args.command == "graphs":
             return _cmd_graphs(args)
         if args.command == "props":
@@ -190,7 +191,7 @@ def main(argv=None) -> int:
             return _cmd_qaoa(args, config)
         if args.command == "analyze":
             return _cmd_analyze(args)
-        return _cmd_verify(args)
+        return _cmd_verify(args, config)
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

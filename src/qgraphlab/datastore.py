@@ -374,7 +374,7 @@ def write_signs_csv(symbols: dict, path: str) -> None:
 
 @dataclass
 class RunConfig:
-    """Run defaults for `props` and `qaoa`; flat key=value files override them."""
+    """Settings of `props`, `qaoa` and `verify`; `--config` and then flags override them."""
 
     starts: int = 200
     seed: int = 0
@@ -384,6 +384,8 @@ class RunConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if not self.delta_eps > 0:

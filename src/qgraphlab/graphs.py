@@ -133,19 +133,9 @@ def encode_graph6(g: Graph) -> str:
     """Encode a graph as a single-line graph6 record (n <= 16)."""
     if g.n > MAX_VERTICES:
         raise UnsupportedSizeError(f"graph6 encoding capped at n={MAX_VERTICES}")
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(g.adj[v] >> u & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + g.n)]
-    for i in range(0, len(bits), 6):
-        group = 0
-        for b in bits[i : i + 6]:
-            group = group << 1 | b
-        out.append(chr(63 + group))
-    return "".join(out)
+    bits = _triangle(g.n, g.adj)
+    bits += "0" * (-len(bits) % 6)
+    return chr(63 + g.n) + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6))
 
 
 def decode_graph6(text: str) -> Graph:
@@ -172,16 +162,7 @@ def decode_graph6(text: str) -> Graph:
         raise Graph6Error(f"truncated graph6 record: {len(data)} data bytes, expected {need}")
     if len(data) > need:
         raise Graph6Error(f"oversized graph6 record: {len(data)} data bytes, expected {need}")
-    adj = [0] * n
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            group = ord(data[idx // 6]) - 63
-            if group >> (5 - idx % 6) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            idx += 1
-    return Graph(n, tuple(adj))
+    return _graph_from_bits(n, "".join(format(ord(ch) - 63, "06b") for ch in data))
 
 
 def read_graph6_file(path) -> list[Graph]:
@@ -306,18 +287,16 @@ def canonical_form(g: Graph) -> str:
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled copy of g (its upper triangle is canonical_form)."""
-    cols = _canonical_columns(g.n, g.adj)
-    adj = [0] * g.n
-    for v in range(1, g.n):
-        col = cols[v]
-        for u in range(v):
-            if col >> (v - 1 - u) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj), g.id)
+    return _graph_from_bits(g.n, _form(g.n, g.adj)).with_id(g.id)
+
+
+def _triangle(n: int, adj: tuple[int, ...]) -> str:
+    """Upper-triangle bit string x(0,1) x(0,2) x(1,2) x(0,3) ... of an adjacency."""
+    return "".join("1" if adj[v] >> u & 1 else "0" for v in range(1, n) for u in range(v))
 
 
 def _graph_from_bits(n: int, bits: str) -> Graph:
+    """Inverse of _triangle; bits past the n(n-1)/2 triangle are ignored."""
     adj = [0] * n
     idx = 0
     for v in range(1, n):

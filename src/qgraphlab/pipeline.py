@@ -20,15 +20,10 @@ __all__ = ["resolve_workers", "dataset_rows", "qaoa_result_rows"]
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else QGL_WORKERS, else all cores."""
-    if requested is not None and requested > 0:
-        return requested
-    env = os.environ.get("QGL_WORKERS", "")
-    if env.strip():
-        value = int(env)
-        if value > 0:
-            return value
-    return os.cpu_count() or 1
+    """Worker count: the requested count, or all cores for 0 or None."""
+    if requested is not None and requested < 0:
+        raise ValueError(f"workers must be >= 0, got {requested}")
+    return requested or os.cpu_count() or 1
 
 
 def _props_task(g: Graph) -> DatasetRow:

@@ -103,9 +103,6 @@ class AngleVector:
     def p(self) -> int:
         return len(self.gammas)
 
-    def flat(self) -> np.ndarray:
-        return np.array(self.gammas + self.betas, dtype=float)
-
     @staticmethod
     def from_flat(theta) -> "AngleVector":
         theta = np.asarray(theta, dtype=float)

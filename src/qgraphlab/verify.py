@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, qaoa
+from . import analysis
 from .analysis import correlation_table, group_averages, pearson, sign_summary
 from .datastore import build_dataset_row
 from .graphs import (Graph, complete_bipartite, complete_graph, connected_graph_count,
                      cycle_graph, enumerate_connected, relabel)
 from .pipeline import dataset_rows, qaoa_result_rows
-from .qaoa import (AngleVector, evolve, expectation, grid_scan_p1, maxcut_bruteforce,
-                   prob_cmax, run_depth_series, uniform_outcome)
+from .qaoa import (DELTA_EPS, AngleVector, evolve, expectation, grid_scan_p1,
+                   maxcut_bruteforce, prob_cmax, run_depth_series, uniform_outcome)
 from .structure import (cut_vertices, cut_vertices_by_deletion, structure_profile)
 from .symmetry import automorphism_group
 
@@ -170,8 +170,8 @@ def _uniform_outcomes(n: int):
     return _UNIFORM_CACHE[n]
 
 
-def _optimized_outcomes(n: int, pmax: int, starts: int, seed: int, workers=None):
-    rows = qaoa_result_rows(enumerate_connected(n), pmax, starts, seed, workers=workers)
+def _optimized_outcomes(n: int, pmax: int, starts: int, seed: int, workers, delta_eps: float):
+    rows = qaoa_result_rows(enumerate_connected(n), pmax, starts, seed, workers, delta_eps)
     return [r.as_outcome() for r in rows]
 
 
@@ -259,15 +259,16 @@ def _mean_cells(row) -> tuple[float, float, float, float]:
     return (row.mean_prob, row.mean_exp_c, row.mean_ratio, row.mean_delta)
 
 
-def check_optimized_group_means(starts: int = 200, seed: int = 0, workers=None) -> CheckResult:
+def check_optimized_group_means(starts: int = 200, seed: int = 0, workers=None,
+                                delta_eps: float = DELTA_EPS) -> CheckResult:
     tol = 5e-3
     needed = {(n, max(p for f, nn, p in GOLDEN_GROUP_MEANS if nn == n))
               for f, n, p in GOLDEN_GROUP_MEANS}
-    outcomes = {n: _optimized_outcomes(n, pmax, starts, seed, workers=workers)
+    outcomes = {n: _optimized_outcomes(n, pmax, starts, seed, workers, delta_eps)
                 for n, pmax in sorted(needed)}
     problems = []
     for (flag, n, p), (want_member, want_non) in sorted(GOLDEN_GROUP_MEANS.items()):
-        member, non = group_averages(_rows(n), [o for o in outcomes[n]], n, p, flag)
+        member, non = group_averages(_rows(n, workers), outcomes[n], n, p, flag)
         for row, wants in ((member, want_member), (non, want_non)):
             for name, got, want in zip(("P", "C", "ratio", "delta"), _mean_cells(row), wants):
                 if want is None:
@@ -282,11 +283,12 @@ def check_optimized_group_means(starts: int = 200, seed: int = 0, workers=None) 
     return CheckResult("golden/optimized-group-means", not problems, detail)
 
 
-def check_correlation_grids(starts: int = 200, seed: int = 0, workers=None) -> CheckResult:
+def check_correlation_grids(starts: int = 200, seed: int = 0, workers=None,
+                            delta_eps: float = DELTA_EPS) -> CheckResult:
     """Full n <= 6, p <= 2 correlation grids within 2e-2 per cell (long-running)."""
     tol = 2e-2
     sizes = sorted({n for _, n, _ in GOLDEN_CORR_ROWS})
-    outcomes = {n: _optimized_outcomes(n, 2, starts, seed, workers=workers) for n in sizes}
+    outcomes = {n: _optimized_outcomes(n, 2, starts, seed, workers, delta_eps) for n in sizes}
     problems = []
     checked = 0
     for (metric, n, p), wants in sorted(GOLDEN_CORR_ROWS.items()):
@@ -304,9 +306,10 @@ def check_correlation_grids(starts: int = 200, seed: int = 0, workers=None) -> C
     return CheckResult("golden/correlation-grids", not problems, detail)
 
 
-def check_sign_grid(starts: int = 200, seed: int = 0, workers=None) -> CheckResult:
+def check_sign_grid(starts: int = 200, seed: int = 0, workers=None,
+                    delta_eps: float = DELTA_EPS) -> CheckResult:
     """n = 8 averaged-correlation sign grid (multi-hour)."""
-    outcomes = _optimized_outcomes(8, 3, starts, seed, workers=workers)
+    outcomes = _optimized_outcomes(8, 3, starts, seed, workers, delta_eps)
     cells = []
     for p in (1, 2, 3):
         cells.extend(correlation_table(_rows(8, workers=workers), outcomes, 8, p))
@@ -323,15 +326,16 @@ def check_sign_grid(starts: int = 200, seed: int = 0, workers=None) -> CheckResu
 
 
 def golden_suite(include_slow: bool = False, include_huge: bool = False,
-                 starts: int = 200, seed: int = 0, workers=None) -> list[CheckResult]:
+                 **settings) -> list[CheckResult]:
+    """settings (starts, seed, workers, delta_eps) reach the optimized checks only."""
     results = [check_counts(), check_uniform_means()]
     results.extend(check_uniform_correlations())
     results.append(check_distance_regular_probabilities())
-    results.append(check_optimized_group_means(starts=starts, seed=seed, workers=workers))
+    results.append(check_optimized_group_means(**settings))
     if include_slow:
-        results.append(check_correlation_grids(starts=starts, seed=seed, workers=workers))
+        results.append(check_correlation_grids(**settings))
     if include_huge:
-        results.append(check_sign_grid(starts=starts, seed=seed, workers=workers))
+        results.append(check_sign_grid(**settings))
     return results
 
 

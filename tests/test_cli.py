@@ -3,8 +3,10 @@ import os
 
 import pytest
 
+from qgraphlab import verify
 from qgraphlab.cli import main
 from qgraphlab.datastore import read_dataset, read_qaoa_results
+from qgraphlab.pipeline import resolve_workers
 
 
 @pytest.fixture()
@@ -205,6 +207,66 @@ class TestExitCodes:
         # some previous-depth gap lies between the default 1e-9 and 0.5, so
         # the configured value, not the default, decides those cells
         assert any(1e-9 <= gap < 0.5 for gap in gaps)
+
+
+SETTINGS = ("starts", "seed", "workers", "delta_eps")
+
+
+class TestSettings:
+    """Run settings resolve once: RunConfig defaults, then --config, then flags."""
+
+    @pytest.fixture()
+    def suites(self, monkeypatch):
+        calls = {}
+
+        def stub(name):
+            def suite(*args, **kwargs):
+                calls[name] = {key: kwargs.get(key) for key in SETTINGS}
+                return []
+            return suite
+
+        monkeypatch.setattr(verify, "golden_suite", stub("golden"))
+        monkeypatch.setattr(verify, "invariant_suite", stub("invariants"))
+        return calls
+
+    def test_verify_reads_config_and_flags(self, tmp_path, suites):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("starts=3\nseed=5\nworkers=1\ndelta_eps=0.5\n")
+        assert main(["--config", str(cfg), "verify", "--suite", "golden"]) == 0
+        assert suites["golden"] == {"starts": 3, "seed": 5, "workers": 1, "delta_eps": 0.5}
+        assert main(["--config", str(cfg), "verify", "--suite", "invariants"]) == 0
+        assert suites["invariants"]["workers"] == 1
+        assert main(["--config", str(cfg), "verify", "--suite", "golden", "--seed", "9"]) == 0
+        assert suites["golden"] == {"starts": 3, "seed": 9, "workers": 1, "delta_eps": 0.5}
+
+    def test_verify_rejects_bad_flag_before_running(self, suites, capsys):
+        assert main(["verify", "--suite", "golden", "--starts", "0"]) == 2
+        assert "golden" not in suites
+        assert "starts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--starts", "0"), ("--seed", "-1")])
+    def test_qaoa_rejects_bad_flag(self, tmp_path, capsys, flag, value):
+        g6 = tmp_path / "n4.g6"
+        out = tmp_path / "q.csv"
+        assert main(["graphs", "gen", "--n", "4", "--out", str(g6)]) == 0
+        assert main(["qaoa", "--in", str(g6), "--p", "0", flag, value, "--out", str(out)]) == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analyze_rejects_unread_flag(self, n4_run):
+        tmp, _, props, qaoa = n4_run
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "corr", "--props", props, "--qaoa", qaoa, "--bins", "3",
+                  "--out", str(tmp / "c.csv")])
+        assert exc.value.code == 2
+
+    def test_workers_ignore_environment(self, monkeypatch):
+        cores = os.cpu_count()
+        monkeypatch.setenv("QGL_WORKERS", str(cores + 1))
+        assert resolve_workers(None) == resolve_workers(0) == cores
+        assert resolve_workers(3) == 3
+        with pytest.raises(ValueError):
+            resolve_workers(-1)
 
 
 class TestFileBytes:
