@@ -22,6 +22,7 @@ __all__ = [
     "HistogramSpec",
     "PROPERTY_NAMES",
     "METRIC_NAMES",
+    "HISTOGRAM_METRICS",
     "pearson",
     "property_value",
     "metric_value",
@@ -53,6 +54,7 @@ PROPERTY_NAMES = (
 )
 
 METRIC_NAMES = ("exp_c", "prob_cmax", "ratio", "delta_ratio")
+HISTOGRAM_METRICS = ("prob_cmax", "ratio", "delta_ratio")  # the metrics that lie in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class GroupAverageRow:
 class HistogramSpec:
     metric: str
     bin_edges: tuple[float, ...]
-    fractions: dict[str, tuple[float, ...]]  # subgroup label -> normalized bins
+    fractions: dict[str, tuple[float | None, ...]]  # subgroup label -> normalized bins
 
 
 def pearson(x, y) -> float | None:
@@ -177,7 +179,10 @@ def group_averages(rows, outcomes, n: int, p: int, flag: str) -> tuple[GroupAver
 
 def histogram(rows, outcomes, n: int, p: int, flag: str, metric: str = "prob_cmax",
               bins: int = 20) -> HistogramSpec:
-    """Per-subgroup bin fractions of one metric over [0, 1] (final bin right-closed)."""
+    """Per-subgroup bin fractions of one metric over [0, 1] (final bin right-closed);
+    a subgroup with no defined value is None (undefined) in every bin."""
+    if metric not in HISTOGRAM_METRICS:
+        raise ValueError(f"histogram metric must be one of {HISTOGRAM_METRICS}, got {metric!r}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     pairs = _paired(rows, outcomes, n, p)
@@ -189,7 +194,7 @@ def histogram(rows, outcomes, n: int, p: int, flag: str, metric: str = "prob_cma
         values = [v for v in values if v is not None]
         counts, _ = np.histogram(values, bins=edges)
         total = counts.sum()
-        fractions[polarity] = tuple((counts / total) if total else counts.astype(float))
+        fractions[polarity] = tuple(counts / total) if total else (None,) * bins
     return HistogramSpec(metric=metric, bin_edges=tuple(edges), fractions=fractions)
 
 

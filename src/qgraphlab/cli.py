@@ -1,8 +1,8 @@
 """Command-line surface for the full pipeline.
 
 Subcommands: graphs gen/count, props, qaoa, analyze corr/avg/hist/signs,
-and verify.  Exit codes: 0 success, 1 failed verification, 2 bad arguments
-or malformed inputs, 3 missing input files.
+and verify golden/invariants.  Exit codes: 0 success, 1 failed
+verification, 2 bad arguments or malformed inputs, 3 missing input files.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ EXIT_MISSING_INPUT = 3
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgraphlab",
                                      description="Exhaustive QAOA MaxCut study on small graphs")
-    parser.add_argument("--config", help="flat key=value file of run settings (see RunConfig)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     graphs = sub.add_parser("graphs", help="enumerate connected non-isomorphic graphs")
@@ -35,13 +34,14 @@ def _build_parser() -> argparse.ArgumentParser:
     count = graphs_sub.add_parser("count", help="print the number of graphs")
     count.add_argument("--n", type=int, required=True)
 
-    workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, help="worker processes (0 = all cores)")
-    search = argparse.ArgumentParser(add_help=False, parents=[workers])
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", help="flat key=value file of run settings (see RunConfig)")
+    settings.add_argument("--workers", type=int, help="worker processes (0 = all cores)")
+    search = argparse.ArgumentParser(add_help=False, parents=[settings])
     search.add_argument("--starts", type=int, help="random starts per depth (default 200)")
     search.add_argument("--seed", type=int, help="global seed (default 0)")
 
-    props = sub.add_parser("props", parents=[workers],
+    props = sub.add_parser("props", parents=[settings],
                            help="per-graph structure and symmetry dataset")
     props.add_argument("--in", dest="infile", required=True, help="graph6 input file")
     props.add_argument("--out", required=True, help="dataset CSV to write")
@@ -65,16 +65,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for mode in (avg, hist):
         mode.add_argument("--flag", choices=["bipartite", "eulerian"], help="subgroup flag")
     hist.add_argument("--bins", type=int, default=20, help="histogram bins (default 20)")
-    hist.add_argument("--metric", default="prob_cmax", choices=list(analysis.METRIC_NAMES),
+    hist.add_argument("--metric", default="prob_cmax", choices=list(analysis.HISTOGRAM_METRICS),
                       help="histogram metric (default prob_cmax)")
     hist.add_argument("--p", type=int, help="histogram depth (default: largest present)")
 
-    ver = sub.add_parser("verify", parents=[search], help="run the acceptance suites")
-    ver.add_argument("--suite", choices=["golden", "invariants"], required=True)
-    ver.add_argument("--long", action="store_true",
-                     help="include the n<=6 correlation-grid reproduction (tens of minutes)")
-    ver.add_argument("--huge", action="store_true",
-                     help="include the n=8 sign grid (multi-hour)")
+    ver = sub.add_parser("verify", help="run the acceptance suites")
+    suites = ver.add_subparsers(dest="suite", required=True)
+    golden = suites.add_parser("golden", parents=[search], help="reference-data checks")
+    golden.add_argument("--long", action="store_true",
+                        help="include the n<=6 correlation-grid reproduction (tens of minutes)")
+    golden.add_argument("--huge", action="store_true",
+                        help="include the n=8 sign grid (multi-hour)")
+    suites.add_parser("invariants", parents=[settings], help="checks that need no reference data")
     return parser
 
 
@@ -179,7 +181,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = datastore.load_config(args.config) if args.config else datastore.RunConfig()
+        path = getattr(args, "config", None)  # graphs and analyze read no setting
+        config = datastore.load_config(path) if path else datastore.RunConfig()
         flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(config)
                  if getattr(args, f.name, None) is not None}
         config = dataclasses.replace(config, **flags)  # a flag beats the config; validates all

@@ -160,7 +160,7 @@ class QaoaResultRow:
             best_angles=AngleVector(self.gammas, self.betas),
             exp_c=self.exp_c, prob_cmax=self.prob_cmax, ratio=self.ratio,
             delta_ratio=self.delta_ratio,
-            optimizer_stats=OptimizerStats("from-file", self.starts, -1, 0),
+            optimizer_stats=OptimizerStats(self.starts, -1, 0),
         )
 
 
@@ -357,7 +357,7 @@ def write_averages_csv(rows: list[GroupAverageRow], path: str) -> None:
 
 def write_histogram_csv(spec, path: str) -> None:
     _write_csv(path, ["bin_lo", "bin_hi", "subgroup", "fraction"],
-               ([fmt_real(lo), fmt_real(hi), subgroup, fmt_real(frac)]
+               ([fmt_real(lo), fmt_real(hi), subgroup, _opt_real(frac)]
                 for subgroup, fractions in spec.fractions.items()
                 for lo, hi, frac in zip(spec.bin_edges, spec.bin_edges[1:], fractions)))
 

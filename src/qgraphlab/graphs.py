@@ -84,10 +84,10 @@ class Graph:
         return Graph(self.n, self.adj, id)
 
     def degree(self, v: int) -> int:
-        return _popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(_popcount(row) for row in self.adj)
+        return tuple(row.bit_count() for row in self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, sorted."""
@@ -99,17 +99,13 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(_popcount(row) for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> list[int]:
         return list(_bits(self.adj[v]))
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def _bits(mask: int):
@@ -202,17 +198,24 @@ def relabel(g: Graph, perm) -> Graph:
     return Graph(g.n, tuple(adj), g.id)
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff a breadth-first search from vertex 0 reaches all vertices."""
-    seen = 1
-    frontier = 1
-    while frontier:
+def _layers(adj: tuple[int, ...], start: int, alive: int):
+    """Breadth-first layers, as vertex masks, reached from the mask `start`
+    through the vertices in `alive`; `start` itself is the first layer.
+    The layers are disjoint, so their sum is every vertex reached."""
+    seen = layer = start
+    while layer:
+        yield layer
         grow = 0
-        for v in _bits(frontier):
-            grow |= g.adj[v]
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+        for v in _bits(layer):
+            grow |= adj[v]
+        layer = grow & alive & ~seen
+        seen |= layer
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff the breadth-first layers from vertex 0 cover all vertices."""
+    full = (1 << g.n) - 1
+    return sum(_layers(g.adj, 1, full)) == full
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +341,7 @@ ENUM_MAX_N = 8
 def _vertex_key(adj: tuple[int, ...], deg: list[int], v: int) -> tuple[int, int, int]:
     row = adj[v]
     return (deg[v], sum(deg[u] for u in _bits(row)),
-            sum(_popcount(adj[u] & row) for u in _bits(row)) // 2)
+            sum((adj[u] & row).bit_count() for u in _bits(row)) // 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,19 +350,18 @@ def _all_classes(n: int) -> tuple[str, ...]:
     if n == 1:
         return ("",)
     k = n - 1  # the new vertex
-    weight = [_popcount(subset) for subset in range(1 << k)]
     seen: set[str] = set()
     for bits in _all_classes(k):
         parent = _graph_from_bits(k, bits).adj
-        top = max(_popcount(row) for row in parent)
-        top_mask = sum(1 << v for v in range(k) if _popcount(parent[v]) == top)
+        top = max(row.bit_count() for row in parent)
+        top_mask = sum(1 << v for v in range(k) if parent[v].bit_count() == top)
         for subset in range(1 << k):
-            d = weight[subset]
+            d = subset.bit_count()
             # an old vertex of degree top gains one when it is in the subset
             if d < top or (d == top and subset & top_mask):
                 continue
             adj = tuple(row | (subset >> v & 1) << k for v, row in enumerate(parent)) + (subset,)
-            deg = [_popcount(row) for row in adj]
+            deg = [row.bit_count() for row in adj]
             key = _vertex_key(adj, deg, k)
             if all(deg[v] < d or _vertex_key(adj, deg, v) <= key for v in range(k)):
                 seen.add(_form(n, adj))

@@ -114,10 +114,9 @@ class AngleVector:
 class OptimizerStats:
     """Bookkeeping for one multi-start optimization."""
 
-    method: str
     starts: int
     best_start: int  # index of the winning start; -1 marks the grid oracle
-    evaluations: int
+    evaluations: int  # objective evaluations over all starts, as minimize counts nfev
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,6 @@ class _Objective:
         self.weight_table = g.n - 2.0 * np.arange(g.n + 1), ones + ones % 2
         self.factors = _hadamard_factors(g.n - 1)
         self.uniform = np.full(half, 2.0 ** (-g.n / 2), dtype=complex)
-        self.evaluations = 0
 
     @staticmethod
     def _phase(angle, levels, index) -> np.ndarray:
@@ -235,10 +233,9 @@ class _Objective:
 
     def value_and_grad(self, theta):
         """<C> and its gradient at theta of shape (2p,), or at each row of
-        theta of shape (B, 2p); each row counts as one evaluation."""
+        theta of shape (B, 2p)."""
         theta = np.asarray(theta, dtype=float)
         rows = theta.reshape(-1, theta.shape[-1])
-        self.evaluations += len(rows)
         p = rows.shape[1] // 2
         gammas, betas = rows[:, :p].T, rows[:, p:].T
         saved = []
@@ -341,7 +338,7 @@ def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
 def uniform_outcome(g: Graph, mc: MaxCutSummary | None = None) -> QaoaOutcome:
     """Depth-0 metrics: the uniform superposition, no parameters."""
     mc = maxcut_bruteforce(g) if mc is None else mc
-    return _outcome(g, _Objective(g), mc, 0, None, OptimizerStats("uniform", 0, -1, 0))
+    return _outcome(g, _Objective(g), mc, 0, None, OptimizerStats(0, -1, 0))
 
 
 def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 0,
@@ -362,14 +359,14 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
     digest = int.from_bytes(hashlib.sha256(canonical_form(g).encode("ascii")).digest()[:8], "big")
     rngs = (np.random.default_rng([seed, digest, idx]) for idx in range(starts))
     points = [np.concatenate([r.uniform(0, TWO_PI, p), r.uniform(0, np.pi, p)]) for r in rngs]
-    thetas, values, _, _ = _lbfgsb(objective, np.array(points + list(extra_starts), dtype=float))
+    thetas, values, _, nfev = _lbfgsb(objective, np.array(points + list(extra_starts), dtype=float))
     best_start = int(np.argmax(values))
     value, theta = values[best_start], thetas[best_start]
     if p == 1:
         gamma, beta, grid_value = grid_scan_p1(g)
         if grid_value > value:
             value, theta, best_start = grid_value, np.array([gamma, beta]), -1
-    stats = OptimizerStats("L-BFGS-B+adjoint", starts, best_start, objective.evaluations)
+    stats = OptimizerStats(starts, best_start, int(nfev.sum()))
     return _outcome(g, objective, mc, p, theta, stats)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _bits, _popcount, is_connected
+from .graphs import Graph, _bits, _layers, is_connected
 
 __all__ = [
     "DisconnectedGraphError",
@@ -64,19 +64,10 @@ class StructureProfile:
 
 
 def _bfs_levels(g: Graph, source: int) -> list[int]:
+    """Distance from source to every vertex (-1 where unreachable): layer d is distance d."""
     dist = [-1] * g.n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        grow = 0
-        for v in _bits(frontier):
-            grow |= g.adj[v]
-        frontier = grow & ~seen
-        seen |= frontier
-        d += 1
-        for v in _bits(frontier):
+    for d, layer in enumerate(_layers(g.adj, 1 << source, (1 << g.n) - 1)):
+        for v in _bits(layer):
             dist[v] = d
     return dist
 
@@ -106,7 +97,7 @@ def clique_number(g: Graph) -> int:
         if size > best:
             best = size
         while cand:
-            if size + _popcount(cand) <= best:
+            if size + cand.bit_count() <= best:
                 return
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
@@ -160,16 +151,7 @@ def cut_vertices_by_deletion(g: Graph) -> list[int]:
     full = (1 << g.n) - 1
     for v in range(g.n):
         alive = full ^ (1 << v)
-        start = (alive & -alive).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            grow = 0
-            for u in _bits(frontier):
-                grow |= g.adj[u]
-            frontier = grow & alive & ~seen
-            seen |= frontier
-        if seen != alive:
+        if sum(_layers(g.adj, alive & -alive, alive)) != alive:
             out.append(v)
     return out
 
@@ -180,27 +162,24 @@ def cut_vertices_by_deletion(g: Graph) -> list[int]:
 
 
 def bipartite_test(g: Graph) -> bool:
-    """True iff a BFS 2-coloring succeeds."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in _bits(g.adj[v]):
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
+    """True iff no edge joins two vertices of one breadth-first layer.
+
+    Edges outside a layer join consecutive layers, so coloring the layers
+    alternately 2-colors each component; an edge inside a layer closes an
+    odd cycle.
+    """
+    rest = (1 << g.n) - 1
+    while rest:  # one component per pass
+        for layer in _layers(g.adj, rest & -rest, rest):
+            if any(g.adj[v] & layer for v in _bits(layer)):
+                return False
+            rest ^= layer
     return True
 
 
 def eulerian_test(g: Graph) -> bool:
     """True iff g is connected and every vertex degree is even."""
-    return is_connected(g) and all(_popcount(row) % 2 == 0 for row in g.adj)
+    return is_connected(g) and all(row.bit_count() % 2 == 0 for row in g.adj)
 
 
 def distance_regular_test(g: Graph, mode: str = "degree") -> bool:
@@ -300,13 +279,6 @@ def _bfs_tree(g: Graph) -> list[int]:
     return parent
 
 
-def _tree_path_to_root(v: int, parent: list[int]) -> list[int]:
-    out = [v]
-    while parent[out[-1]] != -1:
-        out.append(parent[out[-1]])
-    return out
-
-
 def cycle_census(g: Graph) -> tuple[dict[int, int], tuple[tuple[tuple[int, int], ...], ...]]:
     """Simple-cycle counts by length plus the fundamental cycle basis.
 
@@ -319,17 +291,18 @@ def cycle_census(g: Graph) -> tuple[dict[int, int], tuple[tuple[tuple[int, int],
     if not is_connected(g):
         raise DisconnectedGraphError("cycle_census requires a connected graph")
     counts = _count_simple_cycles(g)
-    parent = _bfs_tree(g)
-    tree_edges = {(min(v, parent[v]), max(v, parent[v])) for v in range(g.n) if parent[v] != -1}
+    parent, depth = _bfs_tree(g), _bfs_levels(g, 0)
     basis = []
     for u, v in g.edges():
-        if (u, v) in tree_edges:
-            continue
-        up = _tree_path_to_root(u, parent)
-        vp = _tree_path_to_root(v, parent)
-        common = set(up) & set(vp)
-        lca = next(x for x in up if x in common)
-        path = up[: up.index(lca) + 1] + vp[: vp.index(lca)][::-1]
+        if parent[u] == v or parent[v] == u:
+            continue  # a tree edge
+        up, vp = [u], [v]
+        while up[-1] != vp[-1]:  # climb the deeper end until the ends meet
+            if depth[up[-1]] >= depth[vp[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                vp.append(parent[vp[-1]])
+        path = up + vp[-2::-1]
         edges = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
         edges.append((min(u, v), max(u, v)))
         basis.append(tuple(edges))

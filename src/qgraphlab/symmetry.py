@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, UnsupportedSizeError, _bits, _popcount
+from .graphs import Graph, UnsupportedSizeError, _bits, _layers
 
 __all__ = ["AutomorphismSummary", "automorphisms", "automorphism_group", "orbit_count"]
 
@@ -36,8 +36,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All edge-preserving vertex relabelings, in lexicographic order."""
     if g.n > MAX_GROUP_N:
         raise UnsupportedSizeError(f"automorphism search supports n <= {MAX_GROUP_N}, got {g.n}")
-    n, adj = g.n, g.adj
-    deg = [_popcount(row) for row in adj]
+    n, adj, deg = g.n, g.adj, g.degrees()
     image = [-1] * n
     used = 0
     found: list[tuple[int, ...]] = []
@@ -104,28 +103,23 @@ def automorphism_group(g: Graph) -> AutomorphismSummary:
         if len(reached) == len(perms):
             break
 
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in generators:  # the group's orbits are its generators' orbits
+    # Orbits are the components of the graph joining v to p[v] for every
+    # generator p (forward links suffice: p^-1 is a power of p), lowest first.
+    links = [0] * n
+    for p in generators:
         for v in range(n):
-            rv, rw = find(v), find(p[v])
-            if rv != rw:
-                parent[rw] = rv
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(find(v), []).append(v)
-    orbits = tuple(sorted((tuple(sorted(vs)) for vs in classes.values())))
+            links[v] |= 1 << p[v]
+    orbits = []
+    rest = (1 << n) - 1
+    while rest:
+        orbit = sum(_layers(links, rest & -rest, rest))
+        orbits.append(tuple(_bits(orbit)))
+        rest ^= orbit
 
     return AutomorphismSummary(
         group_size=len(perms),
         generators=tuple(generators),
-        orbits=orbits,
+        orbits=tuple(orbits),
         orbit_count=len(orbits),
     )
 

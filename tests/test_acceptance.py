@@ -2,7 +2,7 @@
 prints one PASS/FAIL line.
 
 The same checks are reachable from the command line through
-`qgraphlab verify --suite golden|invariants`.  The two full-grid
+`qgraphlab verify golden|invariants`.  The two full-grid
 reproductions are opt-in: --runslow covers the n <= 6 correlation grids,
 --runhuge the n = 8 sign grid.
 """

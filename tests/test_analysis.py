@@ -152,6 +152,15 @@ class TestHistogram:
         with pytest.raises(ValueError, match="bins"):
             histogram(n4_rows, n4_uniform, 4, 0, "bipartite", bins=0)
 
+    def test_metric_outside_unit_interval_rejected(self, n4_rows, n4_uniform):
+        with pytest.raises(ValueError, match="metric"):
+            histogram(n4_rows, n4_uniform, 4, 0, "bipartite", metric="exp_c")
+
+    def test_subgroup_without_values_is_undefined(self, n4_rows, n4_uniform):
+        # delta_ratio is undefined at depth 0, so neither subgroup has a value
+        spec = histogram(n4_rows, n4_uniform, 4, 0, "bipartite", metric="delta_ratio", bins=5)
+        assert spec.fractions == {"member": (None,) * 5, "non-member": (None,) * 5}
+
 
 class TestSignSummary:
     def _cells(self, values):

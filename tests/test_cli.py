@@ -104,6 +104,23 @@ class TestPipeline:
         assert lines[0] == "bin_lo,bin_hi,subgroup,fraction"
         assert len(lines) == 1 + 2 * 10
 
+    def test_analyze_hist_rejects_unbounded_metric(self, n4_run):
+        # exp_c lies in [0, |E|], outside the [0, 1] bins
+        tmp, _, props, qaoa = n4_run
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "hist", "--props", props, "--qaoa", qaoa, "--flag", "bipartite",
+                  "--metric", "exp_c", "--out", str(tmp / "hist.csv")])
+        assert exc.value.code == 2
+
+    def test_analyze_hist_empty_subgroup_is_undefined(self, n4_run):
+        tmp, _, props, qaoa = n4_run
+        out = str(tmp / "hist.csv")
+        assert main(["analyze", "hist", "--props", props, "--qaoa", qaoa, "--flag", "bipartite",
+                     "--metric", "delta_ratio", "--p", "0", "--bins", "4", "--out", out]) == 0
+        records = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        assert len(records) == 2 * 4
+        assert all(cells[3] == "" for cells in records)
+
     def test_analyze_rejects_results_for_missing_sizes(self, n4_run, capsys):
         # results containing a vertex count absent from the props file must
         # fail loudly instead of pairing graph ids across sizes
@@ -184,7 +201,7 @@ class TestExitCodes:
         g6 = tmp_path / "n4.g6"
         out = tmp_path / "q.csv"
         assert main(["graphs", "gen", "--n", "4", "--out", str(g6)]) == 0
-        assert main(["--config", str(cfg), "qaoa", "--in", str(g6), "--p", "1",
+        assert main(["qaoa", "--config", str(cfg), "--in", str(g6), "--p", "1",
                      "--out", str(out)]) == 0
         rows = read_qaoa_results(str(out))
         assert rows[0].starts == 4 and rows[0].seed == 11
@@ -195,7 +212,7 @@ class TestExitCodes:
         g6 = tmp_path / "n4.g6"
         out = tmp_path / "q.csv"
         assert main(["graphs", "gen", "--n", "4", "--out", str(g6)]) == 0
-        assert main(["--config", str(cfg), "qaoa", "--in", str(g6), "--p", "2",
+        assert main(["qaoa", "--config", str(cfg), "--in", str(g6), "--p", "2",
                      "--starts", "8", "--seed", "3", "--out", str(out)]) == 0
         rows = {(r.graph_id, r.p): r for r in read_qaoa_results(str(out))}
         gaps = []
@@ -232,15 +249,15 @@ class TestSettings:
     def test_verify_reads_config_and_flags(self, tmp_path, suites):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("starts=3\nseed=5\nworkers=1\ndelta_eps=0.5\n")
-        assert main(["--config", str(cfg), "verify", "--suite", "golden"]) == 0
+        assert main(["verify", "golden", "--config", str(cfg)]) == 0
         assert suites["golden"] == {"starts": 3, "seed": 5, "workers": 1, "delta_eps": 0.5}
-        assert main(["--config", str(cfg), "verify", "--suite", "invariants"]) == 0
+        assert main(["verify", "invariants", "--config", str(cfg)]) == 0
         assert suites["invariants"]["workers"] == 1
-        assert main(["--config", str(cfg), "verify", "--suite", "golden", "--seed", "9"]) == 0
+        assert main(["verify", "golden", "--config", str(cfg), "--seed", "9"]) == 0
         assert suites["golden"] == {"starts": 3, "seed": 9, "workers": 1, "delta_eps": 0.5}
 
     def test_verify_rejects_bad_flag_before_running(self, suites, capsys):
-        assert main(["verify", "--suite", "golden", "--starts", "0"]) == 2
+        assert main(["verify", "golden", "--starts", "0"]) == 2
         assert "golden" not in suites
         assert "starts" in capsys.readouterr().err
 
@@ -259,6 +276,15 @@ class TestSettings:
             main(["analyze", "corr", "--props", props, "--qaoa", qaoa, "--bins", "3",
                   "--out", str(tmp / "c.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "invariants", "--starts", "3"],
+                                      ["graphs", "count", "--n", "4", "--config", "run.cfg"]],
+                             ids=["invariants-starts", "graphs-config"])
+    def test_unread_setting_rejected(self, suites, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not suites
 
     def test_workers_ignore_environment(self, monkeypatch):
         cores = os.cpu_count()
