@@ -37,9 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--config", help="flat key=value file of run settings (see RunConfig)")
     settings.add_argument("--workers", type=int, help="worker processes (0 = all cores)")
+    settings.set_defaults(config_reads=("workers",))
     search = argparse.ArgumentParser(add_help=False, parents=[settings])
     search.add_argument("--starts", type=int, help="random starts per depth (default 200)")
     search.add_argument("--seed", type=int, help="global seed (default 0)")
+    search.set_defaults(config_reads=None)  # every key
 
     props = sub.add_parser("props", parents=[settings],
                            help="per-graph structure and symmetry dataset")
@@ -182,7 +184,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         path = getattr(args, "config", None)  # graphs and analyze read no setting
-        config = datastore.load_config(path) if path else datastore.RunConfig()
+        config = datastore.load_config(path, args.config_reads) if path else datastore.RunConfig()
         flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(config)
                  if getattr(args, f.name, None) is not None}
         config = dataclasses.replace(config, **flags)  # a flag beats the config; validates all

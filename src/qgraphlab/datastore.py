@@ -392,8 +392,9 @@ class RunConfig:
             raise ValueError("delta_eps must be > 0")
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse a flat key=value config file (blank lines and # comments skipped)."""
+def load_config(path: str, reads=None) -> RunConfig:
+    """Parse a flat key=value config file (blank lines and # comments skipped).
+    `reads`, when given, names the keys the caller reads; any other key is an error."""
     types = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -407,5 +408,8 @@ def load_config(path: str) -> RunConfig:
             key = key.strip()
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if reads is not None and key not in reads:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is not read by this "
+                                 f"command, which reads only {', '.join(reads)}")
             values[key] = types[key](value.strip())
     return RunConfig(**values)

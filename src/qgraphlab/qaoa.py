@@ -12,21 +12,23 @@ reductions:
   concatenate(half, half[::-1]) and <C> = 2 sum_z C(z) |half[z]|^2.
 * Hadamard-basis mixer: on the half state the mixer is
   H diag(exp(-i beta w)) H, with H the orthonormal Sylvester Hadamard on n-1
-  qubits and w[x] = n - 2(|x| + |x| mod 2).  H is a real matrix product on
-  the complex-as-real view, in Kronecker factors of at most 2^7.
+  qubits and w[x] = n - 2(|x| + |x| mod 2).  H = H_lead kron H_trail, on
+  ceil((n-1)/2) and floor((n-1)/2) qubits, is one stacked product and one
+  GEMM on the complex-as-real view.
 
 C takes the m + 1 integer levels 0..m and w the levels n, n - 2, ..., -n, so
 each phase factor is looked up from one complex exp per level.  States carry
-leading batch axes: the grid oracle evolves all its cells at once, and the
-angle optimizer runs multi-start L-BFGS-B (on the exact adjoint gradient)
-with all starts in lockstep, one kernel call per round for the starts that
-ask for a value.  The depth-1 optimum is cross-checked against a dense
-(gamma, beta) grid scan.  Random starts come from a stream keyed by (seed,
-canonical form, start index), so isomorphic graphs give identical results.
+leading batch axes: the angle optimizer runs multi-start L-BFGS-B (on the
+exact adjoint gradient) with all starts in lockstep, one kernel call per
+round for the starts that ask for a value, and the depth-1 optimum is
+cross-checked against a dense (gamma, beta) grid scan, in slices of
+gammas.  Random starts come from a stream keyed by (seed, canonical form,
+start index), so isomorphic graphs give identical results.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass, replace
@@ -71,7 +73,7 @@ DELTA_EPS = 1e-9  # default: a remaining gap below this makes the delta ratio un
 DEFAULT_STARTS = 200
 MAX_ITER = 500
 OBJECTIVE_TOL = 1e-8
-HADAMARD_BLOCK_QUBITS = 7  # largest dense Hadamard factor is 2^7 x 2^7
+EVAL_BLOCK = 1 << 13  # amplitudes per state in a batched pass: a p = 3 pass stays in L2 cache
 
 
 @dataclass(frozen=True)
@@ -160,42 +162,36 @@ def maxcut_bruteforce(g: Graph) -> MaxCutSummary:
 # ---------------------------------------------------------------------------
 
 
-def _hadamard_factors(qubits: int) -> list[np.ndarray]:
-    """Orthonormal Sylvester Hadamard on `qubits` qubits as near-equal
-    Kronecker factors of at most HADAMARD_BLOCK_QUBITS qubits each."""
-    blocks = max(1, -(-qubits // HADAMARD_BLOCK_QUBITS))
-    factors = []
-    for k in (qubits // blocks + (i < qubits % blocks) for i in range(blocks)):
-        h = np.empty((1 << k, 1 << k))
-        h[0, 0] = 2.0 ** (-k / 2)
-        for s in (1 << q for q in range(k)):  # [[A, A], [A, -A]] from the top-left A
-            h[:s, s:2 * s] = h[:s, :s]
-            h[s:2 * s, :2 * s] = h[:s, :2 * s]
-            h[s:2 * s, s:2 * s] *= -1
-        factors.append(h)
-    return factors
+@functools.cache
+def _hadamard_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """H on a half state's n - 1 qubits as lead kron trail: orthonormal Sylvester Hadamards
+    on ceil((n-1)/2) and floor((n-1)/2) qubits, trail also on (re, im) pairs; cached, read only."""
+    a, b = n // 2, (n - 1) // 2
+    signs = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * a, np.ones((1, 1)))
+    lead, trail = signs * 2.0 ** (-a / 2), np.kron(signs[:1 << b, :1 << b], np.eye(2)) * 2.0 ** (-b / 2)
+    lead.flags.writeable = trail.flags.writeable = False  # shared by every kernel of this n
+    return lead, trail
 
 
 class _Objective:
     """The QAOA kernel of one graph on the flip-symmetric half state.
 
-    states() evolves a batch of angle sets; value_and_grad() gives <C> and
-    its exact gradient at theta = (gammas, betas) by the adjoint recursion:
-    a forward pass that keeps each layer's states, then the cost-weighted
-    adjoint is peeled back layer by layer.  A row's results do not depend
-    on the rest of its batch: every reduction runs along the row.
+    states() evolves a batch of angle sets; value_and_grad() adds the exact
+    gradient of <C> by the adjoint recursion over the saved forward steps.
+    Rows do not depend on their batch, bit for bit: reductions run along the
+    row, and each complex product has one operand order (a * b may swap them
+    to reuse a large temporary; complex products do not commute bitwise).
     """
 
     def __init__(self, g: Graph):
         half = 1 << (g.n - 1)
-        x = np.arange(half)
-        ones = sum((x >> q & 1 for q in range(g.n - 1)), np.zeros_like(x))
+        ones = sum((np.arange(half) >> q & 1 for q in range(g.n - 1)), np.zeros(half, int))
         cost = cost_vector(g)[:half]
         self.cost = cost.astype(float)
         self.weight = g.n - 2.0 * (ones + ones % 2)  # sum_q X_q in the Hadamard basis
         self.cost_table = np.arange(g.edge_count + 1.0), cost
         self.weight_table = g.n - 2.0 * np.arange(g.n + 1), ones + ones % 2
-        self.factors = _hadamard_factors(g.n - 1)
+        self.lead, self.trail = _hadamard_factors(g.n)
         self.uniform = np.full(half, 2.0 ** (-g.n / 2), dtype=complex)
 
     @staticmethod
@@ -205,24 +201,24 @@ class _Objective:
 
     def _hadamard(self, psi: np.ndarray) -> np.ndarray:
         """H along the last axis of a C-contiguous complex batch (a new array)."""
-        x = psi.view(float)
-        right = x.shape[-1]
-        for h in self.factors:
-            right //= h.shape[0]
-            x = np.matmul(h, x.reshape(-1, h.shape[0], right))
-        return x.reshape(psi.shape[:-1] + (-1,)).view(complex)
+        v = psi.view(float)
+        x = np.matmul(self.lead, v.reshape(-1, len(self.lead), len(self.trail)))
+        return (x.reshape(-1, len(self.trail)) @ self.trail).reshape(v.shape).view(complex)
 
     def states(self, gammas, betas, saved: list | None = None) -> np.ndarray:
         """Half states after the layers.  Angle arrays of shape (p, *batch)
         broadcast together and give states of shape (*batch, 2^(n-1)).
-        `saved` collects each layer's (phased state, mixed Hadamard-basis state)."""
+        `saved` collects, per step (cost, then mixer), the state after it
+        (the mixer's in the Hadamard basis), its diagonal and phase factors."""
         psi = self.uniform
         for gamma, beta in zip(np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float)):
-            phased = psi * self._phase(gamma, *self.cost_table)
-            mixed = self._hadamard(phased) * self._phase(beta, *self.weight_table)
+            cost_phase = self._phase(gamma, *self.cost_table)
+            mixer_phase = self._phase(beta, *self.weight_table)
+            phased = np.multiply(psi, cost_phase)
+            mixed = np.multiply(self._hadamard(phased), mixer_phase)
             psi = self._hadamard(mixed)
             if saved is not None:
-                saved.append((phased, mixed))
+                saved += (phased, self.cost, cost_phase), (mixed, self.weight, mixer_phase)
         return psi
 
     def expectation(self, psi: np.ndarray):
@@ -233,25 +229,27 @@ class _Objective:
 
     def value_and_grad(self, theta):
         """<C> and its gradient at theta of shape (2p,), or at each row of
-        theta of shape (B, 2p)."""
+        theta of shape (B, 2p), in blocks of rows of EVAL_BLOCK amplitudes."""
         theta = np.asarray(theta, dtype=float)
         rows = theta.reshape(-1, theta.shape[-1])
+        step = max(1, EVAL_BLOCK // self.uniform.size)
+        if len(rows) > step:
+            blocks = [self.value_and_grad(rows[i:i + step]) for i in range(0, len(rows), step)]
+            return tuple(np.concatenate(part) for part in zip(*blocks))
         p = rows.shape[1] // 2
-        gammas, betas = rows[:, :p].T, rows[:, p:].T
         saved = []
-        sv = self.states(gammas, betas, saved)
+        sv = self.states(rows[:, :p].T, rows[:, p:].T, saved)
         # Half-state inner products are half the full ones, and sum_q X_q is
         # diag(weight) in the Hadamard basis, so d<C>/dbeta =
-        # 2 Im(<adjoint| sum_q X_q |state>) is a diagonal product there.
+        # 2 Im(<adjoint| sum_q X_q |state>) is a diagonal product there (and
+        # d<C>/dgamma one in the computational basis); steps run backwards.
         grad = np.empty_like(rows)
-        adjoint = self.cost * sv
-        for layer in range(p - 1, -1, -1):
-            phased, mixed = saved[layer]
+        adjoint = np.multiply(self.cost, sv)
+        columns = np.arange(2 * p).reshape(2, p).T.ravel()  # gamma_1, beta_1, gamma_2, ...
+        for column, (state, diagonal, phase) in zip(columns[::-1], saved[::-1]):
             adjoint = self._hadamard(adjoint)
-            grad[:, p + layer] = 4.0 * ((adjoint.conj() * mixed).imag * self.weight).sum(axis=-1)
-            adjoint = self._hadamard(adjoint * self._phase(-betas[layer], *self.weight_table))
-            grad[:, layer] = 4.0 * ((adjoint.conj() * phased).imag * self.cost).sum(axis=-1)
-            adjoint *= self._phase(-gammas[layer], *self.cost_table)
+            grad[:, column] = 4.0 * (np.multiply(adjoint.conj(), state).imag * diagonal).sum(axis=-1)
+            adjoint *= phase.conj()
         values = self.expectation(sv)
         return (values, grad) if theta.ndim > 1 else (float(values[0]), grad[0])
 
@@ -380,7 +378,9 @@ def grid_scan_p1(g: Graph, grid: int = 64) -> tuple[float, float, float]:
     objective = _Objective(g)
     gammas = np.arange(grid) * (TWO_PI / grid)
     betas = np.arange(grid) * (np.pi / grid)
-    values = objective.expectation(objective.states(gammas[None, :, None], betas[None, None, :]))
+    step = max(1, EVAL_BLOCK // (grid * objective.uniform.size))  # gammas per slice
+    values = np.concatenate([objective.expectation(objective.states(chunk[None, :, None], betas[None]))
+                             for chunk in np.split(gammas, range(step, grid, step))])
     i, j = np.unravel_index(int(values.argmax()), values.shape)
     theta, value, _, _ = _lbfgsb(objective, np.array([[gammas[i], betas[j]]]))
     angles = AngleVector.from_flat(theta[0])

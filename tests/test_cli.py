@@ -251,7 +251,9 @@ class TestSettings:
         cfg.write_text("starts=3\nseed=5\nworkers=1\ndelta_eps=0.5\n")
         assert main(["verify", "golden", "--config", str(cfg)]) == 0
         assert suites["golden"] == {"starts": 3, "seed": 5, "workers": 1, "delta_eps": 0.5}
-        assert main(["verify", "invariants", "--config", str(cfg)]) == 0
+        workers_only = tmp_path / "workers.cfg"
+        workers_only.write_text("workers=1\n")
+        assert main(["verify", "invariants", "--config", str(workers_only)]) == 0
         assert suites["invariants"]["workers"] == 1
         assert main(["verify", "golden", "--config", str(cfg), "--seed", "9"]) == 0
         assert suites["golden"] == {"starts": 3, "seed": 9, "workers": 1, "delta_eps": 0.5}
@@ -285,6 +287,29 @@ class TestSettings:
             main(argv)
         assert exc.value.code == 2
         assert not suites
+
+    @pytest.mark.parametrize("command", [["props", "--in", "n4.g6", "--out", "p.csv"],
+                                         ["verify", "invariants"]], ids=["props", "invariants"])
+    @pytest.mark.parametrize("key", ["starts=3", "seed=7", "delta_eps=0.5"])
+    def test_config_key_not_read_rejected(self, tmp_path, monkeypatch, capsys, suites, command, key):
+        # props and verify invariants read only workers
+        monkeypatch.chdir(tmp_path)
+        assert main(["graphs", "gen", "--n", "4", "--out", "n4.g6"]) == 0
+        (tmp_path / "run.cfg").write_text(f"workers=1\n{key}\n")
+        assert main(command + ["--config", "run.cfg"]) == 2
+        assert repr(key.partition("=")[0]) in capsys.readouterr().err
+        assert not suites and not (tmp_path / "p.csv").exists()
+        (tmp_path / "run.cfg").write_text("workers=1\n")
+        assert main(command + ["--config", "run.cfg"]) == 0
+
+    def test_config_all_keys_read_by_qaoa(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["graphs", "gen", "--n", "4", "--out", "n4.g6"]) == 0
+        (tmp_path / "run.cfg").write_text("starts=3\nseed=7\ndelta_eps=0.5\nworkers=1\n")
+        assert main(["qaoa", "--config", "run.cfg", "--in", "n4.g6", "--p", "1",
+                     "--out", "q.csv"]) == 0
+        rows = read_qaoa_results("q.csv")
+        assert {(r.starts, r.seed) for r in rows} == {(3, 7)}
 
     def test_workers_ignore_environment(self, monkeypatch):
         cores = os.cpu_count()

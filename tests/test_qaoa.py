@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import minimize
 
 import qgraphlab
@@ -165,7 +166,7 @@ class TestKernelOracles:
             assert abs(got - closed_form_p1(g, gamma, beta)) <= 1e-12
 
     def test_p1_closed_form_random_n8_and_n12(self):
-        # n = 12 splits the Hadamard on 11 qubits into Kronecker factors
+        # n = 12 puts 6 and 5 of its 11 qubits in the two Hadamard factors
         rng = random.Random(12)
         angles = np.random.default_rng(12)
         graphs = [random_graph(rng, 8, rng.uniform(0.2, 0.9)) for _ in range(40)]
@@ -177,12 +178,25 @@ class TestKernelOracles:
 
     def test_amplitudes_match_dense_layers(self):
         rng = np.random.default_rng(5)
-        for g in connected_graphs_up_to(5):
+        graphs = random.Random(5)
+        larger = [random_graph(graphs, n, graphs.uniform(0.3, 0.9)) for n in (6, 6, 7, 7, 8, 8)]
+        for g in connected_graphs_up_to(5) + larger:
             for p in range(4):
                 gammas = tuple(rng.uniform(0, 2 * np.pi, p))
                 betas = tuple(rng.uniform(0, np.pi, p))
                 sv = evolve(g, AngleVector(gammas, betas))
                 assert np.abs(sv - dense_statevector(g, gammas, betas)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_hadamard_matches_scipy(self, n):
+        # n - 1 qubits split into ceil and floor halves: odd, even and empty factors
+        q = n - 1
+        objective = _Objective(Graph.from_edges(n, [(0, 1)] if n > 1 else []))
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=(3, 1 << q)) + 1j * rng.normal(size=(3, 1 << q))
+        reference = psi @ (scipy.linalg.hadamard(1 << q) / 2 ** (q / 2))
+        assert np.abs(objective._hadamard(psi) - reference).max() <= 1e-12
+        assert not objective.lead.flags.writeable and not objective.trail.flags.writeable  # shared per n
 
 
 class TestGradient:
@@ -257,6 +271,23 @@ class TestLockstepOptimizer:
         theta0 = random_starts(rng, 201, 2)
         theta, value, nit, nfev = _lbfgsb(_Objective(g), theta0)
         for row in range(201):
+            one = _lbfgsb(_Objective(g), theta0[row:row + 1])
+            assert (one[2][0], one[3][0]) == (nit[row], nfev[row])
+            assert abs(one[1][0] - value[row]) <= 1e-12
+            assert np.abs(one[0][0] - theta[row]).max() <= 1e-12
+
+    def test_rows_independent_of_batch_n8(self):
+        # at n = 8 a batch of 128 or more rows spans 256 KiB per state, where
+        # a plain a * b may reuse a temporary and swap its operands
+        rng = np.random.default_rng(24)
+        g = random_graph(random.Random(24), 8, 0.5)
+        theta0 = random_starts(rng, 201, 3)
+        theta, value, nit, nfev = _lbfgsb(_Objective(g), theta0)
+        objective = _Objective(g)
+        batch = objective.states(theta0[:, :3].T, theta0[:, 3:].T)
+        for row in range(0, 201, 8):
+            alone = objective.states(theta0[row, :3, None], theta0[row, 3:, None])
+            assert np.array_equal(alone[0], batch[row])
             one = _lbfgsb(_Objective(g), theta0[row:row + 1])
             assert (one[2][0], one[3][0]) == (nit[row], nfev[row])
             assert abs(one[1][0] - value[row]) <= 1e-12
