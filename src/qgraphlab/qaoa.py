@@ -74,6 +74,7 @@ DEFAULT_STARTS = 200
 MAX_ITER = 500
 OBJECTIVE_TOL = 1e-8
 EVAL_BLOCK = 1 << 13  # amplitudes per state in a batched pass: a p = 3 pass stays in L2 cache
+GRID_POINTS = 64  # points per axis of the depth-1 grid oracle, and the fewest accepted
 
 
 @dataclass(frozen=True)
@@ -286,41 +287,54 @@ def _lbfgsb(objective: _Objective, theta0: np.ndarray):
     rows that asked share one kernel call.  A row that ends below its start
     keeps the start.  Returns the angles, the values and each row's nit and
     nfev, as minimize counts them.
+
+    The loop runs once per setulb call, so it keeps its Python cost near the
+    call's own: each row's setulb arguments are views into the batch arrays,
+    built once (none of those arrays is rebound afterwards), f, the last
+    evaluated point, nit and nfev are lists, and a kernel call writes back
+    only the rows that asked.
     """
     rows, d = theta0.shape
     m, maxls, factr, pgtol = 10, 20, OBJECTIVE_TOL / np.finfo(float).eps, 1e-9
     x = np.array(theta0, dtype=float)  # setulb moves each row in place
     value0, grad0 = objective.value_and_grad(x)
-    f, g, last_x = -value0, -grad0, x.copy()
+    g, f, last = -grad0, (-value0).tolist(), x.tolist()
     wa, dsave = np.zeros((rows, 2 * m * d + 5 * d + 11 * m * m + 8 * m)), np.zeros((rows, 29))
     iwa, task, ln_task, lsave, isave = (np.zeros((rows, k), np.int32) for k in (3 * d, 2, 2, 4, 44))
     bound, unbounded = np.zeros(d), np.zeros(d, np.int32)
-    nit, nfev = np.zeros(rows, int), np.ones(rows, int)
-    running = list(range(rows))
+    views = list(zip(x, g, wa, iwa, task, lsave, isave, dsave, ln_task))
+    nit, nfev = [0] * rows, [1] * rows
+    running = range(rows)
     while running:
         asking = []
         for i in running:
+            xi, gi, wai, iwai, taski, lsavei, isavei, dsavei, ln_taski = views[i]
             while True:
-                setulb(m, x[i], bound, bound, unbounded, f[i], g[i], factr, pgtol, wa[i], iwa[i],
-                       task[i], lsave[i], isave[i], dsave[i], maxls, ln_task[i])
-                if task[i, 0] == 3:  # FG: wants f and g at x[i]
-                    if x[i].tolist() != last_x[i].tolist():
+                setulb(m, xi, bound, bound, unbounded, f[i], gi, factr, pgtol, wai, iwai, taski,
+                       lsavei, isavei, dsavei, maxls, ln_taski)
+                code = taski[0]
+                if code == 3:  # FG: wants f and g at xi
+                    if xi.tolist() != last[i]:
                         asking.append(i)
                         break
-                elif task[i, 0] == 1:  # NEW_X: an iteration ended
+                elif code == 1:  # NEW_X: an iteration ended
                     nit[i] += 1
                     if nit[i] >= MAX_ITER:
-                        task[i] = 5, 504  # STOP, iteration limit; the next call returns
+                        taski[:] = 5, 504  # STOP, iteration limit; the next call returns
                 else:
                     break
         running = asking
         if asking:
-            value, grad = objective.value_and_grad(x[asking])
-            f[asking], g[asking], last_x[asking] = -value, -grad, x[asking]
-            nfev[asking] += 1
+            points = x[asking]
+            value, grad = objective.value_and_grad(points)
+            g[asking] = -grad
+            for i, fi, point in zip(asking, (-value).tolist(), points.tolist()):
+                f[i], last[i] = fi, point
+                nfev[i] += 1
+    f = np.array(f)
     keep = -f < value0
     x[keep] = theta0[keep]
-    return x, np.where(keep, value0, -f), nit, nfev
+    return x, np.where(keep, value0, -f), np.array(nit), np.array(nfev)
 
 
 def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
@@ -355,27 +369,33 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
     mc = maxcut_bruteforce(g) if mc is None else mc
     objective = _Objective(g)
     digest = int.from_bytes(hashlib.sha256(canonical_form(g).encode("ascii")).digest()[:8], "big")
-    rngs = (np.random.default_rng([seed, digest, idx]) for idx in range(starts))
-    points = [np.concatenate([r.uniform(0, TWO_PI, p), r.uniform(0, np.pi, p)]) for r in rngs]
+    # uniform(0, hi) is 0 + hi * random(), so one draw of 2p doubles gives the
+    # gammas in [0, 2pi) and then the betas in [0, pi)
+    scale = np.repeat([TWO_PI, np.pi], p)
+    points = [np.random.default_rng([seed, digest, idx]).random(2 * p) * scale for idx in range(starts)]
     thetas, values, _, nfev = _lbfgsb(objective, np.array(points + list(extra_starts), dtype=float))
     best_start = int(np.argmax(values))
     value, theta = values[best_start], thetas[best_start]
     if p == 1:
-        gamma, beta, grid_value = grid_scan_p1(g)
+        gamma, beta, grid_value = _grid_scan(objective, GRID_POINTS)
         if grid_value > value:
             value, theta, best_start = grid_value, np.array([gamma, beta]), -1
     stats = OptimizerStats(starts, best_start, int(nfev.sum()))
     return _outcome(g, objective, mc, p, theta, stats)
 
 
-def grid_scan_p1(g: Graph, grid: int = 64) -> tuple[float, float, float]:
+def grid_scan_p1(g: Graph, grid: int = GRID_POINTS) -> tuple[float, float, float]:
     """Dense depth-1 (gamma, beta) scan with a local polish of the best cell.
 
     Serves as the depth-1 global oracle; seed-independent by construction.
     """
-    if grid < 64:
-        raise ValueError(f"grid resolution must be >= 64 points per axis, got {grid}")
-    objective = _Objective(g)
+    if grid < GRID_POINTS:
+        raise ValueError(f"grid resolution must be >= {GRID_POINTS} points per axis, got {grid}")
+    return _grid_scan(_Objective(g), grid)
+
+
+def _grid_scan(objective: _Objective, grid: int) -> tuple[float, float, float]:
+    """grid_scan_p1 on a graph's kernel, which optimize_angles shares."""
     gammas = np.arange(grid) * (TWO_PI / grid)
     betas = np.arange(grid) * (np.pi / grid)
     step = max(1, EVAL_BLOCK // (grid * objective.uniform.size))  # gammas per slice

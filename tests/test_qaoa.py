@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -12,7 +13,7 @@ from scipy.optimize import minimize
 
 import qgraphlab
 from qgraphlab import qaoa
-from qgraphlab.graphs import (Graph, complete_graph, cycle_graph, enumerate_connected,
+from qgraphlab.graphs import (Graph, canonical_form, complete_graph, cycle_graph, enumerate_connected,
                               path_graph, relabel, star_graph)
 from qgraphlab.qaoa import (AngleVector, _lbfgsb, _Objective, cost_vector, evolve, expectation,
                             grid_scan_p1, maxcut_bruteforce, metrics_bundle, optimize_angles,
@@ -316,6 +317,35 @@ class TestLockstepOptimizer:
                 assert np.array_equal(objective.states(gammas, betas), psi)
 
 
+class TestStartStream:
+    """optimize_angles's random starts, pinned to the seeded stream they come from."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_starts_are_keyed_uniform_draws(self, monkeypatch, p):
+        g = enumerate_connected(5)[7]
+        digest = int.from_bytes(hashlib.sha256(canonical_form(g).encode("ascii")).digest()[:8], "big")
+        passed = []
+
+        def recording(objective, theta0):
+            passed.append(theta0.copy())
+            return _lbfgsb(objective, theta0)
+
+        monkeypatch.setattr(qaoa, "_lbfgsb", recording)
+        starts = 4
+        for seed in (0, 11):
+            for extra in ([], [np.arange(2.0 * p) / 7, np.full(2 * p, 0.5)]):
+                passed.clear()
+                optimize_angles(g, p, starts=starts, seed=seed, extra_starts=extra)
+                theta0 = passed[0]
+                assert theta0.shape == (starts + len(extra), 2 * p)
+                for idx in range(starts):
+                    r = np.random.default_rng([seed, digest, idx])
+                    want = np.concatenate([r.uniform(0, 2 * np.pi, p), r.uniform(0, np.pi, p)])
+                    assert np.array_equal(theta0[idx], want)
+                for j, point in enumerate(extra):
+                    assert np.array_equal(theta0[starts + j], point)
+
+
 class TestOptimization:
     def test_k3_depth2_reaches_optimum(self):
         out = optimize_angles(complete_graph(3), 2, starts=30, seed=1)
@@ -346,6 +376,18 @@ class TestOptimization:
     def test_grid_resolution_floor(self):
         with pytest.raises(ValueError, match="resolution"):
             grid_scan_p1(cycle_graph(4), grid=32)
+
+    def test_one_kernel_per_optimization(self, monkeypatch):
+        built = []
+
+        class Counting(_Objective):
+            def __init__(self, g):
+                built.append(g)
+                super().__init__(g)
+
+        monkeypatch.setattr(qaoa, "_Objective", Counting)
+        optimize_angles(cycle_graph(4), 1, starts=3, seed=0)
+        assert len(built) == 1
 
     def test_grid_never_beats_optimizer(self):
         for g in enumerate_connected(4):
