@@ -13,7 +13,7 @@ from qgraphlab import (AngleVector, cycle_graph, evolve, expectation, grid_scan_
 g = cycle_graph(4)
 mc = maxcut_bruteforce(g)
 print(f"C4: optimum cut {mc.cmax}, {mc.optimal_count} optimal assignments "
-      f"{[format(z, '04b') for z in mc.optimal_bitstrings()]}")
+      f"{[format(z, '04b') for z in np.flatnonzero(mc.optimal_mask)]}")
 
 # coarse landscape at depth 1
 print("\n<C> over a coarse (gamma, beta) slice:")

@@ -10,17 +10,16 @@ histogram data.
 from .analysis import (CorrelationCell, GroupAverageRow, HistogramSpec, correlation_table,
                        group_averages, histogram, pearson, sign_summary)
 from .datastore import (DatasetRow, QaoaResultRow, RunConfig, build_dataset_row, load_config,
-                        read_dataset, read_qaoa_results, write_dataset, write_dataset_file,
-                        write_qaoa_results)
-from .graphs import (Graph, canonical_form, canonical_graph, complete_bipartite, complete_graph,
+                        read_dataset, read_qaoa_results, write_dataset_file, write_qaoa_results)
+from .graphs import (Graph, canonical_form, complete_bipartite, complete_graph,
                      connected_graph_count, cycle_graph, decode_graph6, encode_graph6,
                      enumerate_connected, is_connected, path_graph, relabel, star_graph)
 from .qaoa import (AngleVector, MaxCutSummary, QaoaOutcome, cost_vector, evolve, expectation,
                    grid_scan_p1, maxcut_bruteforce, metrics_bundle, optimize_angles, prob_cmax,
                    run_depth_series, uniform_outcome)
 from .structure import (StructureProfile, all_pairs_distances, bipartite_test, clique_number,
-                        cut_vertices, cycle_census, diameter, distance_regular_test,
-                        eulerian_test, min_odd_cycle_count, structure_profile)
-from .symmetry import AutomorphismSummary, automorphism_group, automorphisms, orbit_count
+                        cut_vertices, cycle_census, diameter, eulerian_test,
+                        min_odd_cycle_count, structure_profile)
+from .symmetry import AutomorphismSummary, automorphism_group, automorphisms
 
 __version__ = "0.1.0"

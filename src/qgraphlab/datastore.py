@@ -1,10 +1,10 @@
 """CSV persistence for the per-graph dataset and QAOA results, plus run
 configuration.
 
-One dataset file per vertex count, named graphs_n<k>.csv, UTF-8, header
-first.  A row dataclass's fields, in order, are its file's columns; a
-tuple field in _NUMBERED spans numbered columns, padded with empty cells.
-List-valued fields are serialized as plain text:
+One dataset file per vertex count, UTF-8, header first.  A row
+dataclass's fields, in order, are its file's columns; a tuple field in
+_NUMBERED spans numbered columns, padded with empty cells.  List-valued
+fields are serialized as plain text:
 
 * cut vertices and degree sequences: space-separated integers
 * permutations: "(0 2 1 3)" image lists, multiple joined by ";"
@@ -19,7 +19,6 @@ malformed.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -33,8 +32,6 @@ __all__ = [
     "QaoaResultRow",
     "RunConfig",
     "build_dataset_row",
-    "dataset_filename",
-    "write_dataset",
     "write_dataset_file",
     "read_dataset",
     "write_qaoa_results",
@@ -300,23 +297,8 @@ def _read_rows(path: str, cls) -> list:
 # ---------------------------------------------------------------------------
 
 
-def dataset_filename(n: int) -> str:
-    return f"graphs_n{n}.csv"
-
-
-def write_dataset(rows, path: str) -> str:
-    """Write one vertex count's rows to <path>/graphs_n<k>.csv; returns the file path."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to write")
-    os.makedirs(path, exist_ok=True)
-    target = os.path.join(path, dataset_filename(rows[0].n))
-    write_dataset_file(rows, target)
-    return target
-
-
 def write_dataset_file(rows, target: str) -> None:
-    """Write dataset rows (a single vertex count) to an explicit file path."""
+    """Write dataset rows (a single vertex count) to the file target."""
     rows = sorted(rows, key=lambda r: r.graph_id)
     if not rows:
         raise ValueError("no rows to write")
@@ -326,7 +308,7 @@ def write_dataset_file(rows, target: str) -> None:
 
 
 def read_dataset(path: str) -> list[DatasetRow]:
-    """Exact inverse of write_dataset for one graphs_n<k>.csv file."""
+    """Exact inverse of write_dataset_file."""
     return _read_rows(path, DatasetRow)
 
 

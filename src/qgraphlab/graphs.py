@@ -17,8 +17,9 @@ __all__ = [
     "UnsupportedSizeError",
     "decode_graph6",
     "encode_graph6",
+    "read_graph6_file",
+    "write_graph6_file",
     "canonical_form",
-    "canonical_graph",
     "relabel",
     "is_connected",
     "enumerate_connected",
@@ -47,7 +48,7 @@ class Graph:
 
     ``adj[v]`` is the neighbor bitmask of vertex v.  ``id`` is an optional
     stable identifier (1-based position in the enumeration order, or the
-    line number of an input file).
+    record number in a graph6 file).
     """
 
     n: int
@@ -74,17 +75,12 @@ class Graph:
     def from_edges(n: int, edges, id: int | None = None) -> "Graph":
         adj = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return Graph(n, tuple(adj), id)
 
     def with_id(self, id: int) -> "Graph":
         return Graph(self.n, self.adj, id)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
@@ -103,9 +99,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.adj[v]))
 
 
 def _bits(mask: int):
@@ -162,10 +155,11 @@ def decode_graph6(text: str) -> Graph:
 
 
 def read_graph6_file(path) -> list[Graph]:
-    """Read a graph6 file (one record per line); ids are 1-based line numbers."""
+    """Read a graph6 file (one record per line, blank lines skipped); ids
+    number the records 1, 2, ... in file order."""
     graphs = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
@@ -286,11 +280,6 @@ def canonical_form(g: Graph) -> str:
     Two graphs share a canonical form iff they are isomorphic.
     """
     return _form(g.n, g.adj)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labeled copy of g (its upper triangle is canonical_form)."""
-    return _graph_from_bits(g.n, _form(g.n, g.adj)).with_id(g.id)
 
 
 def _triangle(n: int, adj: tuple[int, ...]) -> str:

@@ -74,7 +74,7 @@ DEFAULT_STARTS = 200
 MAX_ITER = 500
 OBJECTIVE_TOL = 1e-8
 EVAL_BLOCK = 1 << 13  # amplitudes per state in a batched pass: a p = 3 pass stays in L2 cache
-GRID_POINTS = 64  # points per axis of the depth-1 grid oracle, and the fewest accepted
+GRID_POINTS = 64  # points per axis of the depth-1 grid oracle
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,6 @@ class MaxCutSummary:
     cmax: int
     optimal_count: int
     optimal_mask: np.ndarray  # bool, length 2**n
-
-    def optimal_bitstrings(self) -> list[int]:
-        return [int(z) for z in np.flatnonzero(self.optimal_mask)]
 
 
 @dataclass(frozen=True)
@@ -377,25 +374,25 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
     best_start = int(np.argmax(values))
     value, theta = values[best_start], thetas[best_start]
     if p == 1:
-        gamma, beta, grid_value = _grid_scan(objective, GRID_POINTS)
+        gamma, beta, grid_value = _grid_scan(objective)
         if grid_value > value:
             value, theta, best_start = grid_value, np.array([gamma, beta]), -1
     stats = OptimizerStats(starts, best_start, int(nfev.sum()))
     return _outcome(g, objective, mc, p, theta, stats)
 
 
-def grid_scan_p1(g: Graph, grid: int = GRID_POINTS) -> tuple[float, float, float]:
-    """Dense depth-1 (gamma, beta) scan with a local polish of the best cell.
+def grid_scan_p1(g: Graph) -> tuple[float, float, float]:
+    """Dense depth-1 (gamma, beta) scan, GRID_POINTS per axis, with a local
+    polish of the best cell.
 
     Serves as the depth-1 global oracle; seed-independent by construction.
     """
-    if grid < GRID_POINTS:
-        raise ValueError(f"grid resolution must be >= {GRID_POINTS} points per axis, got {grid}")
-    return _grid_scan(_Objective(g), grid)
+    return _grid_scan(_Objective(g))
 
 
-def _grid_scan(objective: _Objective, grid: int) -> tuple[float, float, float]:
+def _grid_scan(objective: _Objective) -> tuple[float, float, float]:
     """grid_scan_p1 on a graph's kernel, which optimize_angles shares."""
+    grid = GRID_POINTS
     gammas = np.arange(grid) * (TWO_PI / grid)
     betas = np.arange(grid) * (np.pi / grid)
     step = max(1, EVAL_BLOCK // (grid * objective.uniform.size))  # gammas per slice

@@ -23,7 +23,6 @@ __all__ = [
     "cut_vertices_by_deletion",
     "bipartite_test",
     "eulerian_test",
-    "distance_regular_test",
     "cycle_census",
     "min_odd_cycle_count",
     "structure_profile",
@@ -38,6 +37,11 @@ class DisconnectedGraphError(ValueError):
 class StructureProfile:
     """Every non-symmetry property extracted for one graph.
 
+    distance_regular is the weaker, distance-degree-regular sense: every
+    vertex has the same number of vertices at each distance.
+    distance_regular_strict adds the intersection-array condition: for
+    every pair u, v at distance i, the numbers of neighbors of v at
+    distance i - 1 and i + 1 from u depend only on i.
     cycle_counts maps cycle length k (3..n) to the number of simple cycles
     of that length; cycle_basis holds the fundamental cycles of the BFS
     spanning tree rooted at vertex 0, each as a tuple of (u, v) edges.
@@ -180,27 +184,6 @@ def bipartite_test(g: Graph) -> bool:
 def eulerian_test(g: Graph) -> bool:
     """True iff g is connected and every vertex degree is even."""
     return is_connected(g) and all(row.bit_count() % 2 == 0 for row in g.adj)
-
-
-def distance_regular_test(g: Graph, mode: str = "degree") -> bool:
-    """Distance-regularity in one of two senses.
-
-    mode="degree": every vertex has the identical distance-distribution
-    vector (number of vertices at each distance 1..diameter).  This is the
-    weaker distance-degree-regular condition.
-
-    mode="strict": the intersection-array condition; for every pair u, v at
-    distance i, the number of neighbors of v at distance i-1 and i+1 from u
-    depends only on i.
-    """
-    if mode not in ("degree", "strict"):
-        raise ValueError(f"mode must be 'degree' or 'strict', got {mode!r}")
-    if not is_connected(g):
-        raise DisconnectedGraphError("distance_regular_test requires a connected graph")
-    dm = all_pairs_distances(g)
-    if mode == "degree":
-        return _distance_degree_regular(dm)
-    return _distance_degree_regular(dm) and _intersection_array_holds(g, dm)
 
 
 def _distance_degree_regular(dm: np.ndarray) -> bool:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, UnsupportedSizeError, _bits, _layers
+from .graphs import Graph, UnsupportedSizeError
 
-__all__ = ["AutomorphismSummary", "automorphisms", "automorphism_group", "orbit_count"]
+__all__ = ["AutomorphismSummary", "automorphisms", "automorphism_group"]
 
 MAX_GROUP_N = 8
 
@@ -103,18 +103,9 @@ def automorphism_group(g: Graph) -> AutomorphismSummary:
         if len(reached) == len(perms):
             break
 
-    # Orbits are the components of the graph joining v to p[v] for every
-    # generator p (forward links suffice: p^-1 is a power of p), lowest first.
-    links = [0] * n
-    for p in generators:
-        for v in range(n):
-            links[v] |= 1 << p[v]
-    orbits = []
-    rest = (1 << n) - 1
-    while rest:
-        orbit = sum(_layers(links, rest & -rest, rest))
-        orbits.append(tuple(_bits(orbit)))
-        rest ^= orbit
+    # v's orbit is its image under every automorphism; disjoint sorted
+    # tuples sort by their smallest element.
+    orbits = sorted({tuple(sorted({p[v] for p in perms})) for v in range(n)})
 
     return AutomorphismSummary(
         group_size=len(perms),
@@ -122,8 +113,3 @@ def automorphism_group(g: Graph) -> AutomorphismSummary:
         orbits=tuple(orbits),
         orbit_count=len(orbits),
     )
-
-
-def orbit_count(g: Graph) -> int:
-    """Number of vertex orbits under the automorphism group."""
-    return automorphism_group(g).orbit_count

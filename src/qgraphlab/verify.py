@@ -231,7 +231,7 @@ def _octahedron() -> Graph:
                                 if u + 3 != v and v + 3 != u and abs(u - v) != 3])
 
 
-def check_distance_regular_probabilities(starts: int = 60, seed: int = 0) -> CheckResult:
+def check_distance_regular_probabilities() -> CheckResult:
     cases = [
         ("C4", cycle_graph(4), 2, 0.999, 1.0),
         ("K4", complete_graph(4), 2, 0.999, 1.0),
@@ -247,7 +247,7 @@ def check_distance_regular_probabilities(starts: int = 60, seed: int = 0) -> Che
     problems = []
     details = []
     for name, g, p, lo, hi in cases:
-        prob = run_depth_series(g, p, starts=starts, seed=seed)[p].prob_cmax
+        prob = run_depth_series(g, p, starts=60, seed=0)[p].prob_cmax
         details.append(f"{name}@p{p}={prob:.4f}")
         if not lo <= prob <= hi + 1e-12:
             problems.append(f"{name}: P={prob:.5f} outside [{lo}, {hi}]")
@@ -344,11 +344,11 @@ def golden_suite(include_slow: bool = False, include_huge: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def check_statevector_norm(samples: int = 50, seed: int = 1) -> CheckResult:
-    rng = random.Random(seed)
-    nprng = np.random.default_rng(seed)
+def check_statevector_norm() -> CheckResult:
+    rng = random.Random(1)
+    nprng = np.random.default_rng(1)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(50):
         n = rng.randint(4, 7)
         g = rng.choice(enumerate_connected(n))
         p = rng.randint(1, 3)
@@ -370,20 +370,20 @@ def check_zero_angle_expectation() -> CheckResult:
                        f"worst |<C> - |E|/2| = {worst:.2e}")
 
 
-def check_depth_monotonicity(starts: int = 6, seed: int = 0) -> CheckResult:
+def check_depth_monotonicity() -> CheckResult:
     worst = 0.0
     for n in (3, 4, 5, 6):
         for g in enumerate_connected(n):
-            series = run_depth_series(g, 3, starts=starts, seed=seed)
+            series = run_depth_series(g, 3, starts=6, seed=0)
             for prev, cur in zip(series, series[1:]):
                 worst = max(worst, prev.exp_c - cur.exp_c)
     return CheckResult("invariant/depth-monotonicity", worst <= 1e-9,
                        f"worst decrease across depths = {worst:.2e}")
 
 
-def check_isomorphism_invariance(graphs: int = 50, relabelings: int = 20,
-                                 seed: int = 2) -> CheckResult:
-    rng = random.Random(seed)
+def check_isomorphism_invariance() -> CheckResult:
+    graphs, relabelings = 50, 20
+    rng = random.Random(2)
     pool = [g for n in (4, 5, 6) for g in enumerate_connected(n)]
     problems = []
     def grid_metrics(graph):
@@ -426,8 +426,9 @@ def check_isomorphism_invariance(graphs: int = 50, relabelings: int = 20,
     return CheckResult("invariant/isomorphism-invariance", not problems, detail)
 
 
-def check_pearson_properties(pairs: int = 1000, seed: int = 3) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_pearson_properties() -> CheckResult:
+    pairs = 1000
+    rng = np.random.default_rng(3)
     problems = []
     for _ in range(pairs):
         m = int(rng.integers(2, 40))

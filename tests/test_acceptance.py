@@ -37,7 +37,9 @@ class TestGoldenSuite:
         # files' vertex labelings (a fundamental-cycle-basis count), which
         # are not recoverable; the odd-girth cycle count used here is the
         # closest labeling-independent reading but sits ~0.002-0.023 away.
-        # Kept at the stated tolerance; see notes/decisions.md.
+        # Kept at the stated tolerance; see the expected-red checks in the
+        # README ("Install and test") and the standing constraints in
+        # ROADMAP.md.
         results = [r for r in verify.check_uniform_correlations() if "min-odd" in r.name]
         _report(results)
 

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgraphlab.datastore import (DatasetRow, QaoaResultRow, RunConfig, SchemaError,
-                                 build_dataset_row, dataset_filename, load_config,
-                                 read_dataset, read_qaoa_results, write_dataset,
-                                 write_dataset_file, write_qaoa_results, fmt_real)
+                                 build_dataset_row, load_config, read_dataset,
+                                 read_qaoa_results, write_dataset_file, write_qaoa_results,
+                                 fmt_real)
 from qgraphlab.graphs import enumerate_connected
 from qgraphlab.qaoa import maxcut_bruteforce, run_depth_series
 from qgraphlab.structure import structure_profile
@@ -22,8 +22,8 @@ def rows_for(n):
 class TestDatasetRoundTrip:
     def test_n4_file(self, tmp_path):
         rows = rows_for(4)
-        target = write_dataset(rows, str(tmp_path))
-        assert os.path.basename(target) == dataset_filename(4) == "graphs_n4.csv"
+        target = os.path.join(tmp_path, "graphs_n4.csv")
+        write_dataset_file(rows, target)
         back = read_dataset(target)
         assert back == rows
         assert len(back) == 6
@@ -43,15 +43,16 @@ class TestDatasetRoundTrip:
             write_dataset_file(rows_for(4) + rows_for(5), os.path.join(tmp_path, "bad.csv"))
 
     def test_schema_error_names_column(self, tmp_path):
-        rows = rows_for(4)
-        target = write_dataset(rows, str(tmp_path))
+        target = os.path.join(tmp_path, "graphs_n4.csv")
+        write_dataset_file(rows_for(4), target)
         text = open(target).read().replace("clique_number", "cliquish", 1)
         open(target, "w").write(text)
         with pytest.raises(SchemaError, match="cliquish"):
             read_dataset(target)
 
     def test_cycle_count_columns_must_match_n(self, tmp_path):
-        target = write_dataset(rows_for(4), str(tmp_path))
+        target = os.path.join(tmp_path, "graphs_n4.csv")
+        write_dataset_file(rows_for(4), target)
         lines = open(target).read().splitlines()
         cells = lines[1].split(",")
         cells[1] = "5"

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgraphlab.graphs import (Graph, Graph6Error, UnsupportedSizeError, _all_classes,
-                              canonical_form, canonical_graph, complete_bipartite, complete_graph,
+                              canonical_form, complete_bipartite, complete_graph,
                               connected_graph_count, cycle_graph, decode_graph6, encode_graph6,
-                              enumerate_connected, is_connected, path_graph, relabel, star_graph)
+                              enumerate_connected, is_connected, path_graph, read_graph6_file,
+                              relabel, star_graph, write_graph6_file)
 
 
 def bits_graph(n, bits):
@@ -99,6 +100,16 @@ class TestGraph6:
                 back = decode_graph6(encode_graph6(g))
                 assert back.adj == g.adj
 
+    def test_file_ids_number_records_past_blank_lines(self, tmp_path):
+        gs = enumerate_connected(4)
+        path = tmp_path / "g.g6"
+        write_graph6_file(gs, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n\n".join(lines[:3]) + "\n  \n" + "\n".join(lines[3:]) + "\n\n")
+        back = read_graph6_file(path)
+        assert [g.id for g in back] == [1, 2, 3, 4, 5, 6]
+        assert [g.adj for g in back] == [g.adj for g in gs]
+
 
 class TestRelabel:
     def test_identity(self):
@@ -143,9 +154,10 @@ class TestCanonicalForm:
         assert canonical_form(complete_graph(4)) == "111111"
 
     def test_canonical_graph_matches_form(self):
+        # the enumerated representative of a class is its canonically
+        # labeled graph: its upper triangle is the canonical form
         g = star_graph(5)
-        cg = canonical_graph(g)
-        assert canonical_form(g) == canonical_form(cg)
+        [cg] = [h for h in enumerate_connected(5) if canonical_form(h) == canonical_form(g)]
         bits = "".join(str(cg.adj[v] >> u & 1) for v in range(1, 5) for u in range(v))
         assert bits == canonical_form(g)
 

@@ -373,10 +373,6 @@ class TestOptimization:
         sv = evolve(k2, AngleVector((np.pi / 2,), (np.pi / 8,)))
         assert expectation(k2, sv) == pytest.approx(1.0, abs=1e-12)
 
-    def test_grid_resolution_floor(self):
-        with pytest.raises(ValueError, match="resolution"):
-            grid_scan_p1(cycle_graph(4), grid=32)
-
     def test_one_kernel_per_optimization(self, monkeypatch):
         built = []
 

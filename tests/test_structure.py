@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -10,8 +11,7 @@ from qgraphlab.graphs import (Graph, complete_bipartite, complete_graph, cycle_g
 from qgraphlab.structure import (DisconnectedGraphError, StructureProfile, all_pairs_distances,
                                  bipartite_test, clique_number, cut_vertices,
                                  cut_vertices_by_deletion, cycle_census, diameter,
-                                 distance_regular_test, eulerian_test, min_odd_cycle_count,
-                                 structure_profile)
+                                 eulerian_test, min_odd_cycle_count, structure_profile)
 
 
 def to_networkx(g):
@@ -28,6 +28,15 @@ def prism():
 
 def paw():
     return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+
+
+def distance_regular_flags(g):
+    """(degree sense, strict sense) of distance regularity from networkx:
+    equal per-vertex distance histograms, and nx.is_distance_regular."""
+    G = to_networkx(g)
+    histograms = {tuple(sorted(Counter(lengths.values()).items()))
+                  for _, lengths in nx.all_pairs_shortest_path_length(G)}
+    return len(histograms) == 1, nx.is_distance_regular(G)
 
 
 def brute_force_cliques(g):
@@ -80,8 +89,7 @@ class TestDistances:
     def test_disconnected_rejected(self):
         split = Graph.from_edges(4, [(0, 1), (2, 3)])
         for op in (all_pairs_distances, diameter, cut_vertices,
-                   cut_vertices_by_deletion, cycle_census,
-                   lambda g: distance_regular_test(g, "strict")):
+                   cut_vertices_by_deletion, cycle_census):
             with pytest.raises(DisconnectedGraphError):
                 op(split)
 
@@ -137,34 +145,35 @@ class TestBooleanFlags:
             assert eulerian_test(g) == nx.is_eulerian(to_networkx(g))
 
 
+def regularity(g):
+    p = structure_profile(g)
+    return p.distance_regular, p.distance_regular_strict
+
+
 class TestDistanceRegular:
     def test_c5_both_modes(self):
-        assert distance_regular_test(cycle_graph(5), "degree")
-        assert distance_regular_test(cycle_graph(5), "strict")
+        assert regularity(cycle_graph(5)) == (True, True)
 
     def test_path_neither(self):
-        assert not distance_regular_test(path_graph(4), "degree")
-        assert not distance_regular_test(path_graph(4), "strict")
+        assert regularity(path_graph(4)) == (False, False)
 
     def test_prism_splits_the_modes(self):
         # every prism vertex sees (3, 2) at distances (1, 2), but b_1 differs
         # between triangle and square neighbors
-        assert distance_regular_test(prism(), "degree")
-        assert not distance_regular_test(prism(), "strict")
+        assert regularity(prism()) == (True, False)
 
     def test_strict_matches_networkx(self):
         for g in enumerate_connected(6):
-            assert distance_regular_test(g, "strict") == nx.is_distance_regular(to_networkx(g))
+            assert regularity(g)[1] == nx.is_distance_regular(to_networkx(g))
 
     def test_strict_census_n6(self):
-        strict = [g for g in enumerate_connected(6) if distance_regular_test(g, "strict")]
-        degree = [g for g in enumerate_connected(6) if distance_regular_test(g, "degree")]
-        assert len(strict) == 4
-        assert len(degree) == 5
+        flags = [regularity(g) for g in enumerate_connected(6)]
+        assert sum(strict for _, strict in flags) == 4
+        assert sum(degree for degree, _ in flags) == 5
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            distance_regular_test(cycle_graph(4), "loose")
+    def test_disconnected_rejected(self):
+        with pytest.raises(DisconnectedGraphError):
+            structure_profile(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 class TestCycleCensus:
@@ -232,17 +241,20 @@ class TestProfile:
                 assert len(set(p.degree_sequence)) == 1
 
     def test_matches_public_functions(self):
+        # the distance-regular flags have no public function of their own;
+        # networkx checks them (distance_regular_flags)
         for n in range(3, 7):
             for g in enumerate_connected(n):
                 counts, basis = cycle_census(g)
+                degree_regular, strict = distance_regular_flags(g)
                 assert structure_profile(g) == StructureProfile(
                     edges=g.edge_count,
                     diameter=diameter(g),
                     clique_number=clique_number(g),
                     bipartite=bipartite_test(g),
                     eulerian=eulerian_test(g),
-                    distance_regular=distance_regular_test(g, "degree"),
-                    distance_regular_strict=distance_regular_test(g, "strict"),
+                    distance_regular=degree_regular,
+                    distance_regular_strict=strict,
                     cut_vertices=tuple(cut_vertices(g)),
                     cut_vertex_count=len(cut_vertices(g)),
                     degree_sequence=tuple(sorted(g.degrees(), reverse=True)),
