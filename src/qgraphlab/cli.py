@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--config", help="flat key=value file of run settings (see RunConfig)")
-    settings.add_argument("--workers", type=int, help="worker processes (0 = all cores)")
+    settings.add_argument("--workers", type=int, help="worker processes (0 = usable CPUs)")
     settings.set_defaults(config_reads=("workers",))
     search = argparse.ArgumentParser(add_help=False, parents=[settings])
     search.add_argument("--starts", type=int, help="random starts per depth (default 200)")
@@ -154,6 +154,8 @@ def _cmd_analyze(args) -> int:
         if len(sizes) != 1:
             raise ValueError(f"analyze hist expects one vertex count, found {sizes}")
         p = args.p if args.p is not None else max(depths)
+        if p not in depths:
+            raise ValueError(f"analyze hist --p {p}: the results only have depths {depths}")
         spec = analysis.histogram(rows, outcomes_by_n[sizes[0]], sizes[0], p, args.flag,
                                   metric=args.metric, bins=args.bins)
         datastore.write_histogram_csv(spec, args.out)

@@ -20,10 +20,15 @@ __all__ = ["resolve_workers", "dataset_rows", "qaoa_result_rows"]
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: the requested count, or all cores for 0 or None."""
+    """Worker count: the requested count, or for 0 or None the CPUs this
+    process may run on (its affinity mask where the platform has one)."""
     if requested is not None and requested < 0:
         raise ValueError(f"workers must be >= 0, got {requested}")
-    return requested or os.cpu_count() or 1
+    if requested:
+        return requested
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _props_task(g: Graph) -> DatasetRow:

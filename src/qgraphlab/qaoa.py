@@ -30,10 +30,29 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B module, loaded from its file in the installed
+    scipy package unless the process already holds it."""
+    name = "scipy.optimize._lbfgsb"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("No module named 'scipy'", name="scipy")
+        spec = importlib.util.spec_from_file_location(name, os.path.join(
+            os.path.dirname(scipy.origin), "optimize", "_lbfgsb" + EXTENSION_SUFFIXES[0]))
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
 
 # L-BFGS-B makes tiny BLAS calls through scipy's own OpenBLAS, whose threads
 # busy-wait between calls: an optimization burns a second core, runs up to 3x
@@ -41,9 +60,14 @@ import numpy as np
 # The library reads its thread count once, at load; a caller's count wins.
 _CHOSEN_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-# setulb, scipy's L-BFGS-B step, is private API: the signature called here is
-# the one from scipy 1.15's C port, checked against scipy 1.17.1.
-from scipy.optimize._lbfgsb import setulb  # noqa: E402
+# setulb, scipy's L-BFGS-B step, is private API: its module's file name and the
+# signature called here (scipy 1.15's C port) are checked against scipy 1.17.1.
+# Only that one extension is loaded, not scipy.optimize, whose import spends
+# about 0.5 s and 40 MB on linprog, linalg, sparse and more that nothing here
+# runs.  It is registered under its own name, so a process holds one copy
+# whichever of scipy.optimize and this module it imports first.  A missing
+# file raises ImportError naming its path.
+setulb = _load_lbfgsb().setulb
 if _CHOSEN_THREADS is None:
     del os.environ["OPENBLAS_NUM_THREADS"]
 

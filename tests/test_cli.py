@@ -144,6 +144,11 @@ class TestPipeline:
                      "--out", str(tmp / "signs.csv")])
         assert code == 2
         assert "1..3" in capsys.readouterr().err
+        # a histogram depth absent from the results is named, with the depths present
+        code = main(["analyze", "hist", "--props", props, "--qaoa", qaoa, "--flag", "bipartite",
+                     "--p", "7", "--out", str(tmp / "hist.csv")])
+        assert code == 2
+        assert "--p 7: the results only have depths [0, 1, 2]" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -312,12 +317,18 @@ class TestSettings:
         assert {(r.starts, r.seed) for r in rows} == {(3, 7)}
 
     def test_workers_ignore_environment(self, monkeypatch):
-        cores = os.cpu_count()
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         monkeypatch.setenv("QGL_WORKERS", str(cores + 1))
         assert resolve_workers(None) == resolve_workers(0) == cores
         assert resolve_workers(3) == 3
         with pytest.raises(ValueError):
             resolve_workers(-1)
+
+    def test_default_workers_follow_affinity(self, monkeypatch):
+        # a process pinned to one core gets one worker, whatever the machine's core count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert resolve_workers(0) == 1
 
 
 class TestFileBytes:

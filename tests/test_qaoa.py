@@ -450,19 +450,25 @@ print(before, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_T
 """
 
 
+def _run_in_child(script, threads=None):
+    """stdout words of script run in a fresh interpreter that imports this
+    qgraphlab, with OPENBLAS_NUM_THREADS set to threads or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = os.path.dirname(os.path.dirname(qgraphlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 class TestBlasThreads:
     """Importing qaoa loads scipy's OpenBLAS, which L-BFGS-B calls, without
     worker threads, and leaves OPENBLAS_NUM_THREADS as it was."""
 
     def _import_in_child(self, threads):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        src = os.path.dirname(os.path.dirname(qgraphlab.__file__))
-        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
+        out = _run_in_child(_THREADS_SCRIPT, threads)
         return int(out[0]), int(out[1]), out[2]
 
     def test_import_starts_no_threads_and_restores_env(self):
@@ -473,3 +479,16 @@ class TestBlasThreads:
     def test_caller_thread_count_kept(self):
         _, _, chosen = self._import_in_child("2")
         assert chosen == "2"
+
+
+class TestImportFootprint:
+    """qaoa loads scipy's L-BFGS-B extension alone, once per process."""
+
+    def test_cli_import_loads_no_scipy_optimize(self):
+        assert _run_in_child("import sys, qgraphlab.cli; print('scipy.optimize' in sys.modules)") \
+            == ["False"]
+
+    def test_setulb_shared_with_scipy_optimize(self):
+        assert _run_in_child("import scipy.optimize, qgraphlab.qaoa; "
+                             "print(qgraphlab.qaoa.setulb is scipy.optimize._lbfgsb.setulb)") \
+            == ["True"]
