@@ -17,9 +17,7 @@ from .graphs import (Graph, canonical_form, complete_bipartite, complete_graph,
 from .qaoa import (AngleVector, MaxCutSummary, QaoaOutcome, cost_vector, evolve, expectation,
                    grid_scan_p1, maxcut_bruteforce, metrics_bundle, optimize_angles, prob_cmax,
                    run_depth_series, uniform_outcome)
-from .structure import (StructureProfile, all_pairs_distances, bipartite_test, clique_number,
-                        cut_vertices, cycle_census, diameter, eulerian_test,
-                        min_odd_cycle_count, structure_profile)
+from .structure import StructureProfile, structure_profile
 from .symmetry import AutomorphismSummary, automorphism_group, automorphisms
 
 __version__ = "0.1.0"

@@ -393,5 +393,9 @@ def load_config(path: str, reads=None) -> RunConfig:
             if reads is not None and key not in reads:
                 raise ValueError(f"{path}:{lineno}: config key {key!r} is not read by this "
                                  f"command, which reads only {', '.join(reads)}")
-            values[key] = types[key](value.strip())
+            try:
+                values[key] = types[key](value.strip())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} expects "
+                                 f"{types[key].__name__}, got {value.strip()!r}") from None
     return RunConfig(**values)

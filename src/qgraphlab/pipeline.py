@@ -59,6 +59,9 @@ def qaoa_result_rows(graphs: list[Graph], pmax: int, starts: int, seed: int,
                      workers: int | None = None,
                      delta_eps: float = DELTA_EPS) -> list[QaoaResultRow]:
     """Depth 0..pmax QAOA rows for a batch of graphs (sorted by id, then p)."""
+    for g in graphs:  # before any optimization: C_max = 0 leaves the ratio undefined
+        if not g.edge_count:
+            raise ValueError(f"graph {g.id} has no edges, so it has no MaxCut to approximate")
     jobs = [(g, pmax, starts, seed, delta_eps) for g in graphs]
     nested = _run(_qaoa_task, jobs, resolve_workers(workers))
     return sorted((row for rows in nested for row in rows), key=lambda r: (r.graph_id, r.p))

@@ -1,8 +1,10 @@
 """Structural graph properties: distances, cliques, cut vertices,
 bipartite/Eulerian flags, distance regularity, and the simple-cycle census.
 
-All functions take the bitmask graphs from :mod:`qgraphlab.graphs` and are
-pure, so per-graph invocations can run concurrently.
+`structure_profile` is the one entry point: it checks connectivity once and
+derives every flag from one all-pairs distance matrix and one cycle count.
+Graphs are the bitmask graphs of :mod:`qgraphlab.graphs`, and every function
+is pure, so per-graph invocations can run concurrently.
 """
 
 from __future__ import annotations
@@ -16,16 +18,8 @@ from .graphs import Graph, _bits, _layers, is_connected
 __all__ = [
     "DisconnectedGraphError",
     "StructureProfile",
-    "all_pairs_distances",
-    "diameter",
-    "clique_number",
-    "cut_vertices",
-    "cut_vertices_by_deletion",
-    "bipartite_test",
-    "eulerian_test",
-    "cycle_census",
-    "min_odd_cycle_count",
     "structure_profile",
+    "cut_vertices_by_deletion",
 ]
 
 
@@ -62,6 +56,35 @@ class StructureProfile:
     min_odd_cycle_count: int
 
 
+def structure_profile(g: Graph) -> StructureProfile:
+    """Compute every structural property of one connected graph."""
+    if not is_connected(g):
+        raise DisconnectedGraphError(f"graph {g.id} is not connected; structure properties "
+                                     f"are defined for connected graphs only")
+    levels = [_bfs_levels(g, v) for v in range(g.n)]
+    dm, depth = np.array(levels, dtype=np.int64), levels[0]
+    counts = _count_simple_cycles(g)
+    degree_regular = _distance_degree_regular(dm)
+    cuts = _cut_vertices(g)
+    return StructureProfile(
+        edges=g.edge_count,
+        diameter=int(dm.max()),
+        clique_number=_clique_number(g),
+        # edges outside a BFS layer join consecutive layers, so coloring the
+        # layers alternately 2-colors g; an edge inside a layer closes an odd cycle
+        bipartite=all(depth[u] != depth[v] for u, v in g.edges()),
+        eulerian=all(row.bit_count() % 2 == 0 for row in g.adj),  # g is connected
+        distance_regular=degree_regular,
+        distance_regular_strict=degree_regular and _intersection_array_holds(g, dm),
+        cut_vertices=cuts,
+        cut_vertex_count=len(cuts),
+        degree_sequence=tuple(sorted(g.degrees(), reverse=True)),
+        cycle_counts=counts,
+        cycle_basis=_cycle_basis(g, depth),
+        min_odd_cycle_count=next((c for k, c in counts.items() if k % 2 and c), 0),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
@@ -74,116 +97,6 @@ def _bfs_levels(g: Graph, source: int) -> list[int]:
         for v in _bits(layer):
             dist[v] = d
     return dist
-
-
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Shortest-path edge counts as an n x n integer matrix (BFS per vertex)."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("all_pairs_distances requires a connected graph")
-    return np.array([_bfs_levels(g, v) for v in range(g.n)], dtype=np.int64)
-
-
-def diameter(g: Graph) -> int:
-    return int(all_pairs_distances(g).max())
-
-
-# ---------------------------------------------------------------------------
-# Cliques
-# ---------------------------------------------------------------------------
-
-
-def clique_number(g: Graph) -> int:
-    """Size of the largest complete subgraph (branch and bound on bitmasks)."""
-    best = 0
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(size + 1, cand & g.adj[v])
-
-    expand(0, (1 << g.n) - 1)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Cut vertices
-# ---------------------------------------------------------------------------
-
-
-def cut_vertices(g: Graph) -> list[int]:
-    """Articulation points via the DFS lowpoint method, sorted ascending."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("cut_vertices requires a connected graph")
-    n = g.n
-    num = [-1] * n
-    low = [0] * n
-    out: set[int] = set()
-    counter = 0
-
-    def dfs(v: int, parent: int) -> None:
-        nonlocal counter
-        num[v] = low[v] = counter
-        counter += 1
-        children = 0
-        for w in _bits(g.adj[v]):
-            if num[w] == -1:
-                children += 1
-                dfs(w, v)
-                low[v] = min(low[v], low[w])
-                if parent != -1 and low[w] >= num[v]:
-                    out.add(v)
-            elif w != parent:
-                low[v] = min(low[v], num[w])
-        if parent == -1 and children > 1:
-            out.add(v)
-
-    dfs(0, -1)
-    return sorted(out)
-
-
-def cut_vertices_by_deletion(g: Graph) -> list[int]:
-    """Definitional check: v is a cut vertex iff deleting it disconnects the rest."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("cut_vertices requires a connected graph")
-    out = []
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        alive = full ^ (1 << v)
-        if sum(_layers(g.adj, alive & -alive, alive)) != alive:
-            out.append(v)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Boolean flags
-# ---------------------------------------------------------------------------
-
-
-def bipartite_test(g: Graph) -> bool:
-    """True iff no edge joins two vertices of one breadth-first layer.
-
-    Edges outside a layer join consecutive layers, so coloring the layers
-    alternately 2-colors each component; an edge inside a layer closes an
-    odd cycle.
-    """
-    rest = (1 << g.n) - 1
-    while rest:  # one component per pass
-        for layer in _layers(g.adj, rest & -rest, rest):
-            if any(g.adj[v] & layer for v in _bits(layer)):
-                return False
-            rest ^= layer
-    return True
-
-
-def eulerian_test(g: Graph) -> bool:
-    """True iff g is connected and every vertex degree is even."""
-    return is_connected(g) and all(row.bit_count() % 2 == 0 for row in g.adj)
 
 
 def _distance_degree_regular(dm: np.ndarray) -> bool:
@@ -212,6 +125,79 @@ def _intersection_array_holds(g: Graph, dm: np.ndarray) -> bool:
                 elif (bv, cv) != (b, c):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Cliques
+# ---------------------------------------------------------------------------
+
+
+def _clique_number(g: Graph) -> int:
+    """Size of the largest complete subgraph (branch and bound on bitmasks)."""
+    best = 0
+
+    def expand(size: int, cand: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            expand(size + 1, cand & g.adj[v])
+
+    expand(0, (1 << g.n) - 1)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Cut vertices
+# ---------------------------------------------------------------------------
+
+
+def _cut_vertices(g: Graph) -> tuple[int, ...]:
+    """Articulation points of a connected graph via the DFS lowpoint method, sorted ascending."""
+    n = g.n
+    num = [-1] * n
+    low = [0] * n
+    out: set[int] = set()
+    counter = 0
+
+    def dfs(v: int, parent: int) -> None:
+        nonlocal counter
+        num[v] = low[v] = counter
+        counter += 1
+        children = 0
+        for w in _bits(g.adj[v]):
+            if num[w] == -1:
+                children += 1
+                dfs(w, v)
+                low[v] = min(low[v], low[w])
+                if parent != -1 and low[w] >= num[v]:
+                    out.add(v)
+            elif w != parent:
+                low[v] = min(low[v], num[w])
+        if parent == -1 and children > 1:
+            out.add(v)
+
+    dfs(0, -1)
+    return tuple(sorted(out))
+
+
+def cut_vertices_by_deletion(g: Graph) -> list[int]:
+    """Definitional reference for the profile's cut vertices: v is a cut
+    vertex iff deleting it disconnects the rest."""
+    if not is_connected(g):
+        raise DisconnectedGraphError(f"graph {g.id} is not connected; cut vertices are "
+                                     f"defined for connected graphs only")
+    out = []
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        alive = full ^ (1 << v)
+        if sum(_layers(g.adj, alive & -alive, alive)) != alive:
+            out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +248,16 @@ def _bfs_tree(g: Graph) -> list[int]:
     return parent
 
 
-def cycle_census(g: Graph) -> tuple[dict[int, int], tuple[tuple[tuple[int, int], ...], ...]]:
-    """Simple-cycle counts by length plus the fundamental cycle basis.
+def _cycle_basis(g: Graph, depth: list[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The fundamental cycle basis of a connected graph.
 
     The basis has one cycle per non-tree edge of the BFS spanning tree
     rooted at vertex 0 (neighbors visited in ascending order); each cycle
     is the tuple of its edges, normalized to (min, max) pairs, ordered
     along the traversal from one endpoint of the non-tree edge to the
-    other.
+    other.  depth[v] is v's distance from vertex 0.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("cycle_census requires a connected graph")
-    counts = _count_simple_cycles(g)
-    parent, depth = _bfs_tree(g), _bfs_levels(g, 0)
+    parent = _bfs_tree(g)
     basis = []
     for u, v in g.edges():
         if parent[u] == v or parent[v] == u:
@@ -289,42 +272,4 @@ def cycle_census(g: Graph) -> tuple[dict[int, int], tuple[tuple[tuple[int, int],
         edges = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
         edges.append((min(u, v), max(u, v)))
         basis.append(tuple(edges))
-    return counts, tuple(basis)
-
-
-def min_odd_cycle_count(g: Graph, cycle_counts: dict[int, int] | None = None) -> int:
-    """Number of shortest odd cycles (0 when bipartite)."""
-    if cycle_counts is None:
-        cycle_counts = _count_simple_cycles(g)
-    for k in sorted(cycle_counts):
-        if k % 2 == 1 and cycle_counts[k]:
-            return cycle_counts[k]
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Bundle
-# ---------------------------------------------------------------------------
-
-
-def structure_profile(g: Graph) -> StructureProfile:
-    """Compute every structural property of one connected graph."""
-    counts, basis = cycle_census(g)
-    dm = all_pairs_distances(g)
-    degree_regular = _distance_degree_regular(dm)
-    cuts = tuple(cut_vertices(g))
-    return StructureProfile(
-        edges=g.edge_count,
-        diameter=int(dm.max()),
-        clique_number=clique_number(g),
-        bipartite=bipartite_test(g),
-        eulerian=eulerian_test(g),
-        distance_regular=degree_regular,
-        distance_regular_strict=degree_regular and _intersection_array_holds(g, dm),
-        cut_vertices=cuts,
-        cut_vertex_count=len(cuts),
-        degree_sequence=tuple(sorted(g.degrees(), reverse=True)),
-        cycle_counts=counts,
-        cycle_basis=basis,
-        min_odd_cycle_count=min_odd_cycle_count(g, counts),
-    )
+    return tuple(basis)

@@ -31,7 +31,7 @@ from .graphs import (Graph, complete_bipartite, complete_graph, connected_graph_
 from .pipeline import dataset_rows, qaoa_result_rows
 from .qaoa import (DELTA_EPS, AngleVector, evolve, expectation, grid_scan_p1,
                    maxcut_bruteforce, prob_cmax, run_depth_series, uniform_outcome)
-from .structure import (cut_vertices, cut_vertices_by_deletion, structure_profile)
+from .structure import cut_vertices_by_deletion, structure_profile
 from .symmetry import automorphism_group
 
 __all__ = ["CheckResult", "golden_suite", "invariant_suite", "GOLDEN_COUNTS"]
@@ -456,7 +456,7 @@ def check_cut_vertex_agreement() -> CheckResult:
     for n in range(3, 8):
         for g in enumerate_connected(n):
             total += 1
-            if cut_vertices(g) != cut_vertices_by_deletion(g):
+            if list(structure_profile(g).cut_vertices) != cut_vertices_by_deletion(g):
                 mismatches += 1
     return CheckResult("invariant/cut-vertex-agreement", mismatches == 0,
                        f"{total} graphs, {mismatches} disagreements between lowpoint and deletion")

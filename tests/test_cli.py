@@ -164,6 +164,27 @@ class TestExitCodes:
         code = main(["props", "--in", str(bad), "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_disconnected_record_is_2(self, tmp_path, capsys):
+        # record 2 has one edge and an isolated vertex
+        g6 = tmp_path / "split.g6"
+        g6.write_text("Bw\nB_\n")
+        out = tmp_path / "x.csv"
+        assert main(["props", "--in", str(g6), "--out", str(out), "--workers", "1"]) == 2
+        assert "graph 2 is not connected" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("record", ["@", "A?"], ids=["n1", "n2"])
+    def test_edgeless_qaoa_is_2(self, tmp_path, capsys, record, workers):
+        # C_max = 0 leaves the approximation ratio undefined
+        g6 = tmp_path / "edgeless.g6"
+        g6.write_text(record + "\n")
+        out = tmp_path / "q.csv"
+        assert main(["qaoa", "--in", str(g6), "--p", "1", "--starts", "2",
+                     "--workers", workers, "--out", str(out)]) == 2
+        assert "graph 1 has no edges" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mixed_sizes_is_2(self, tmp_path, capsys):
         mixed = tmp_path / "mixed.g6"
         mixed.write_text("A_\nC~\n")
@@ -332,9 +353,11 @@ class TestSettings:
 
 
 class TestFileBytes:
-    # sha256 of the n = 5 props and depth-0 results files; the p >= 1 angle
+    # sha256 of the n = 5 and n = 7 props and the n = 5 depth-0 results files
+    # (the n = 7 digest is also the benchmark's census pin); the p >= 1 angle
     # digits are not pinned, since equivalent optima may still trade places
     PROPS_N5 = "083389a9c614ea5aad5f7d674a81b0e785b823b0e4f8a1bc9d22c6780bf1f132"
+    PROPS_N7 = "7fdcb2d47a8c4002ae642ba08048ab777c935b6e7293825b854c7f548ac1b5c9"
     QAOA_P0_N5 = "4be1b3d3b68554aa9345977b10d56a04852b6c61edd6632204f3c77a0d058b88"
 
     def test_pinned_bytes_and_padding(self, n4_run):
@@ -345,6 +368,10 @@ class TestFileBytes:
         assert main(["qaoa", "--in", g6, "--p", "0", "--out", qaoa0, "--workers", "1"]) == 0
         assert hashlib.sha256(open(props, "rb").read()).hexdigest() == self.PROPS_N5
         assert hashlib.sha256(open(qaoa0, "rb").read()).hexdigest() == self.QAOA_P0_N5
+        g6, props = str(tmp / "n7.g6"), str(tmp / "props7.csv")
+        assert main(["graphs", "gen", "--n", "7", "--out", g6]) == 0
+        assert main(["props", "--in", g6, "--out", props, "--workers", "1"]) == 0
+        assert hashlib.sha256(open(props, "rb").read()).hexdigest() == self.PROPS_N7
 
         header, *records = open(qaoa2).read().splitlines()
         assert header == ("graph_id,n,graph6,p,gamma_1,gamma_2,beta_1,beta_2,exp_c,prob_cmax,"

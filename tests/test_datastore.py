@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,12 @@ class TestRunConfig:
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("starts 50\n")
-        with pytest.raises(ValueError, match="key=value"):
-            load_config(str(path))
+        for text, message in [
+            ("starts 50\n", "run.cfg:1: expected key=value"),
+            ("workers=1\nstarts=abc\n", "run.cfg:2: config key 'starts' expects int, got 'abc'"),
+            ("seed=1.5\n", "run.cfg:1: config key 'seed' expects int, got '1.5'"),
+            ("delta_eps=tiny\n", "run.cfg:1: config key 'delta_eps' expects float, got 'tiny'"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_config(str(path))

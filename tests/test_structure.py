@@ -3,15 +3,11 @@ import random
 from collections import Counter
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from qgraphlab.graphs import (Graph, complete_bipartite, complete_graph, cycle_graph,
                               enumerate_connected, path_graph, relabel, star_graph)
-from qgraphlab.structure import (DisconnectedGraphError, StructureProfile, all_pairs_distances,
-                                 bipartite_test, clique_number, cut_vertices,
-                                 cut_vertices_by_deletion, cycle_census, diameter,
-                                 eulerian_test, min_odd_cycle_count, structure_profile)
+from qgraphlab.structure import DisconnectedGraphError, cut_vertices_by_deletion, structure_profile
 
 
 def to_networkx(g):
@@ -67,82 +63,90 @@ def brute_force_cycles(g):
 
 
 class TestDistances:
+    # the distance matrix is internal; diameter, both regularity flags and
+    # the bipartite flag are the fields derived from it
     def test_complete_graph(self):
-        dm = all_pairs_distances(complete_graph(4))
-        assert dm.sum() == 12 and dm.diagonal().sum() == 0
+        p = structure_profile(complete_graph(4))
+        assert (p.diameter, p.distance_regular, p.distance_regular_strict) == (1, True, True)
 
     def test_path_endpoints(self):
-        assert all_pairs_distances(path_graph(4))[0, 3] == 3
+        assert structure_profile(path_graph(4)).diameter == 3
 
     def test_c6_antipodes(self):
-        dm = all_pairs_distances(cycle_graph(6))
-        for u in range(6):
-            assert dm[u, (u + 3) % 6] == 3
+        # every vertex has one antipode at distance 3
+        p = structure_profile(cycle_graph(6))
+        assert (p.diameter, p.distance_regular, p.bipartite) == (3, True, True)
 
     def test_matches_networkx(self):
-        for g in enumerate_connected(5):
-            dm = all_pairs_distances(g)
-            for u, lengths in nx.all_pairs_shortest_path_length(to_networkx(g)):
-                for v, d in lengths.items():
-                    assert dm[u, v] == d
+        for n in range(3, 7):
+            for g in enumerate_connected(n):
+                G = to_networkx(g)
+                p = structure_profile(g)
+                assert p.diameter == nx.diameter(G)
+                assert (p.distance_regular, p.distance_regular_strict) == distance_regular_flags(g)
+                assert p.bipartite == nx.is_bipartite(G)
 
     def test_disconnected_rejected(self):
-        split = Graph.from_edges(4, [(0, 1), (2, 3)])
-        for op in (all_pairs_distances, diameter, cut_vertices,
-                   cut_vertices_by_deletion, cycle_census):
-            with pytest.raises(DisconnectedGraphError):
+        split = Graph.from_edges(4, [(0, 1), (2, 3)], id=7)
+        for op in (structure_profile, cut_vertices_by_deletion):
+            with pytest.raises(DisconnectedGraphError, match="graph 7 is not connected"):
                 op(split)
 
 
 class TestDiameter:
     def test_examples(self):
-        assert diameter(complete_graph(8)) == 1
-        assert diameter(cycle_graph(8)) == 4
-        assert diameter(star_graph(8)) == 2
+        assert structure_profile(complete_graph(8)).diameter == 1
+        assert structure_profile(cycle_graph(8)).diameter == 4
+        assert structure_profile(star_graph(8)).diameter == 2
 
 
 class TestCliqueNumber:
     def test_examples(self):
-        assert clique_number(complete_graph(5)) == 5
-        assert clique_number(cycle_graph(5)) == 2
-        assert clique_number(paw()) == brute_force_cliques(paw()) == 3
+        assert structure_profile(complete_graph(5)).clique_number == 5
+        assert structure_profile(cycle_graph(5)).clique_number == 2
+        assert structure_profile(paw()).clique_number == brute_force_cliques(paw()) == 3
 
     def test_against_subset_scan(self):
         for g in enumerate_connected(5):
-            assert clique_number(g) == brute_force_cliques(g)
+            assert structure_profile(g).clique_number == brute_force_cliques(g)
 
 
 class TestCutVertices:
     def test_examples(self):
-        assert cut_vertices(cycle_graph(4)) == []
-        assert cut_vertices(star_graph(4)) == [0]
-        assert cut_vertices(path_graph(4)) == [1, 2]
+        assert structure_profile(cycle_graph(4)).cut_vertices == ()
+        assert structure_profile(star_graph(4)).cut_vertices == (0,)
+        assert structure_profile(path_graph(4)).cut_vertices == (1, 2)
 
     def test_lowpoint_equals_deletion(self):
         for n in (3, 4, 5, 6):
             for g in enumerate_connected(n):
-                assert cut_vertices(g) == cut_vertices_by_deletion(g)
+                assert list(structure_profile(g).cut_vertices) == cut_vertices_by_deletion(g)
 
     def test_matches_networkx(self):
         for g in enumerate_connected(6):
-            assert cut_vertices(g) == sorted(nx.articulation_points(to_networkx(g)))
+            p = structure_profile(g)
+            assert p.cut_vertices == tuple(sorted(nx.articulation_points(to_networkx(g))))
+            assert p.cut_vertex_count == len(p.cut_vertices)
 
 
 class TestBooleanFlags:
     def test_bipartite(self):
-        assert bipartite_test(cycle_graph(6))
-        assert not bipartite_test(cycle_graph(5))
-        assert bipartite_test(complete_bipartite(3, 3))
+        assert structure_profile(cycle_graph(6)).bipartite
+        assert not structure_profile(cycle_graph(5)).bipartite
+        assert structure_profile(complete_bipartite(3, 3)).bipartite
 
     def test_eulerian(self):
-        assert eulerian_test(cycle_graph(4))
-        assert not eulerian_test(path_graph(4))
-        assert eulerian_test(complete_graph(5))
-        assert not eulerian_test(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        assert structure_profile(cycle_graph(4)).eulerian
+        assert not structure_profile(path_graph(4)).eulerian
+        assert structure_profile(complete_graph(5)).eulerian
+        # every degree is even, but a disconnected graph has no Euler circuit
+        # and no profile
+        with pytest.raises(DisconnectedGraphError):
+            structure_profile(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
 
     def test_eulerian_matches_networkx(self):
         for g in enumerate_connected(6):
-            assert eulerian_test(g) == nx.is_eulerian(to_networkx(g))
+            assert structure_profile(g).eulerian == nx.is_eulerian(to_networkx(g))
 
 
 def regularity(g):
@@ -178,35 +182,32 @@ class TestDistanceRegular:
 
 class TestCycleCensus:
     def test_c5(self):
-        counts, basis = cycle_census(cycle_graph(5))
-        assert counts == {3: 0, 4: 0, 5: 1}
-        assert len(basis) == 1 and len(basis[0]) == 5
+        p = structure_profile(cycle_graph(5))
+        assert p.cycle_counts == {3: 0, 4: 0, 5: 1}
+        assert len(p.cycle_basis) == 1 and len(p.cycle_basis[0]) == 5
 
     def test_k4(self):
-        counts, basis = cycle_census(complete_graph(4))
-        assert counts == {3: 4, 4: 3}
-        assert counts == brute_force_cycles(complete_graph(4))
-        assert len(basis) == 3
+        p = structure_profile(complete_graph(4))
+        assert p.cycle_counts == {3: 4, 4: 3}
+        assert p.cycle_counts == brute_force_cycles(complete_graph(4))
+        assert len(p.cycle_basis) == 3
 
     def test_tree_has_none(self):
-        counts, basis = cycle_census(star_graph(4))
-        assert sum(counts.values()) == 0 and basis == ()
+        p = structure_profile(star_graph(4))
+        assert sum(p.cycle_counts.values()) == 0 and p.cycle_basis == ()
 
     def test_against_subset_scan(self):
         for g in enumerate_connected(5):
-            counts, _ = cycle_census(g)
-            assert counts == brute_force_cycles(g)
+            assert structure_profile(g).cycle_counts == brute_force_cycles(g)
 
     def test_basis_dimension(self):
         for g in enumerate_connected(6):
-            _, basis = cycle_census(g)
-            assert len(basis) == g.edge_count - g.n + 1
+            assert len(structure_profile(g).cycle_basis) == g.edge_count - g.n + 1
 
     def test_basis_cycles_close(self):
         # every basis element is a closed walk: each vertex appears twice
         for g in enumerate_connected(5):
-            _, basis = cycle_census(g)
-            for cyc in basis:
+            for cyc in structure_profile(g).cycle_basis:
                 degree = {}
                 for u, v in cyc:
                     degree[u] = degree.get(u, 0) + 1
@@ -216,13 +217,15 @@ class TestCycleCensus:
 
 class TestMinOddCycles:
     def test_examples(self):
-        assert min_odd_cycle_count(cycle_graph(4)) == 0
-        assert min_odd_cycle_count(complete_graph(4)) == 4
-        assert min_odd_cycle_count(cycle_graph(5)) == 1
+        assert structure_profile(cycle_graph(4)).min_odd_cycle_count == 0
+        assert structure_profile(complete_graph(4)).min_odd_cycle_count == 4
+        assert structure_profile(cycle_graph(5)).min_odd_cycle_count == 1
 
     def test_zero_iff_bipartite(self):
+        # the count comes from the cycle census, the flag from BFS layers
         for g in enumerate_connected(6):
-            assert (min_odd_cycle_count(g) == 0) == bipartite_test(g)
+            p = structure_profile(g)
+            assert (p.min_odd_cycle_count == 0) == p.bipartite == nx.is_bipartite(to_networkx(g))
 
 
 class TestProfile:
@@ -239,29 +242,6 @@ class TestProfile:
                 assert p.distance_regular
             if p.distance_regular:
                 assert len(set(p.degree_sequence)) == 1
-
-    def test_matches_public_functions(self):
-        # the distance-regular flags have no public function of their own;
-        # networkx checks them (distance_regular_flags)
-        for n in range(3, 7):
-            for g in enumerate_connected(n):
-                counts, basis = cycle_census(g)
-                degree_regular, strict = distance_regular_flags(g)
-                assert structure_profile(g) == StructureProfile(
-                    edges=g.edge_count,
-                    diameter=diameter(g),
-                    clique_number=clique_number(g),
-                    bipartite=bipartite_test(g),
-                    eulerian=eulerian_test(g),
-                    distance_regular=degree_regular,
-                    distance_regular_strict=strict,
-                    cut_vertices=tuple(cut_vertices(g)),
-                    cut_vertex_count=len(cut_vertices(g)),
-                    degree_sequence=tuple(sorted(g.degrees(), reverse=True)),
-                    cycle_counts=counts,
-                    cycle_basis=basis,
-                    min_odd_cycle_count=min_odd_cycle_count(g),
-                )
 
     def test_relabeling_invariance(self):
         rng = random.Random(5)
