@@ -25,7 +25,6 @@ __all__ = [
     "HISTOGRAM_METRICS",
     "pearson",
     "property_value",
-    "metric_value",
     "correlation_table",
     "group_averages",
     "histogram",
@@ -116,10 +115,6 @@ def property_value(row, name: str) -> float:
     return float(value)
 
 
-def metric_value(outcome, name: str) -> float | None:
-    return getattr(outcome, name)
-
-
 def _paired(rows, outcomes, n: int, p: int):
     """Match rows to outcomes by graph id; raise if either side is missing."""
     row_map = {row.graph_id: row for row in rows if row.n == n}
@@ -140,7 +135,7 @@ def correlation_table(rows, outcomes, n: int, p: int) -> list[CorrelationCell]:
     for prop in PROPERTY_NAMES:
         xs = [property_value(row, prop) for row, _ in pairs]
         for metric in METRIC_NAMES:
-            ys = [metric_value(o, metric) for _, o in pairs]
+            ys = [getattr(o, metric) for _, o in pairs]
             keep = [(x, y) for x, y in zip(xs, ys) if y is not None]
             if keep:
                 r = pearson([k[0] for k in keep], [k[1] for k in keep])
@@ -189,7 +184,7 @@ def histogram(rows, outcomes, n: int, p: int, flag: str, metric: str = "prob_cma
     edges = np.linspace(0.0, 1.0, bins + 1)
     fractions: dict[str, tuple[float, ...]] = {}
     for polarity, keep in (("member", True), ("non-member", False)):
-        values = [metric_value(o, metric) for row, o in pairs
+        values = [getattr(o, metric) for row, o in pairs
                   if bool(property_value(row, flag)) is keep]
         values = [v for v in values if v is not None]
         counts, _ = np.histogram(values, bins=edges)

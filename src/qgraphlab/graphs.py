@@ -225,14 +225,20 @@ def is_connected(g: Graph) -> bool:
 # one candidate since swapping them is an automorphism.
 
 
-def _canonical_columns(n: int, adj: tuple[int, ...]) -> list[int]:
-    infinity = 1 << 20
-    best = [infinity] * n
-    best[0] = 0
+def _canonical_columns(n: int, adj: tuple[int, ...],
+                       bound: list[int] | None = None) -> list[int] | None:
+    """Columns of the canonical form, column k as a k-bit integer.
 
-    def extend(placed: list[int], placed_mask: int, k: int) -> None:
+    With `bound`, the columns of the labeling under test, the search takes
+    them as its incumbent and returns None at the first relabeling that
+    beats them; if none does, it returns `bound`, which is then canonical.
+    """
+    infinity = 1 << 20
+    best = [0] + [infinity] * (n - 1) if bound is None else bound
+
+    def beaten(placed: list[int], placed_mask: int, k: int) -> bool:
         if k == n:
-            return
+            return False
         low = infinity
         cand: list[int] = []
         for v in range(n):
@@ -248,8 +254,12 @@ def _canonical_columns(n: int, adj: tuple[int, ...]) -> list[int]:
             elif col == low:
                 cand.append(v)
         if low > best[k]:
-            return
+            return False
         if low < best[k]:
+            # the placed prefix equals the incumbent's up to column k, so
+            # every completion of it is a smaller string
+            if bound is not None:
+                return True
             best[k] = low
             for i in range(k + 1, n):
                 best[i] = infinity
@@ -261,17 +271,12 @@ def _canonical_columns(n: int, adj: tuple[int, ...]) -> list[int]:
                 continue
             seen_twins.append((v, rv))
             placed.append(v)
-            extend(placed, placed_mask | (1 << v), k + 1)
+            if beaten(placed, placed_mask | (1 << v), k + 1):
+                return True
             placed.pop()
+        return False
 
-    extend([], 0, 0)
-    return best
-
-
-def _form(n: int, adj: tuple[int, ...]) -> str:
-    """canonical_form of a raw adjacency tuple."""
-    cols = _canonical_columns(n, adj)
-    return "".join(format(cols[k], f"0{k}b") for k in range(1, n))
+    return None if beaten([], 0, 0) else best
 
 
 def canonical_form(g: Graph) -> str:
@@ -279,7 +284,8 @@ def canonical_form(g: Graph) -> str:
 
     Two graphs share a canonical form iff they are isomorphic.
     """
-    return _form(g.n, g.adj)
+    cols = _canonical_columns(g.n, g.adj)
+    return "".join(format(cols[k], f"0{k}b") for k in range(1, g.n))
 
 
 def _triangle(n: int, adj: tuple[int, ...]) -> str:
@@ -304,57 +310,40 @@ def _graph_from_bits(n: int, bits: str) -> Graph:
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
 #
-# All isomorphism classes on n vertices arise by attaching a new vertex to
-# every class representative on n-1 vertices with every possible neighbor
-# subset S.  Only the extensions whose new vertex attains the maximum of an
-# isomorphism-invariant vertex key are canonicalized and deduplicated (the
-# deletion rule of McKay's canonical augmentation, "Isomorph-free
-# exhaustive generation", J. Algorithms 26, 1998).  The key is (degree, sum
-# of neighbor degrees, edges among neighbors); degree alone rejects most
-# extensions, since each old degree is the parent's plus one bit of S.
-#
-# The filter is exact: every class G has a key-maximal vertex v, and G - v
-# is isomorphic to some representative P on n-1 vertices, so G is
-# isomorphic to P extended by some S with v mapped to the new vertex.  That
-# extension has the key of v at its new vertex and passes.  Ties must pass
-# (a vertex-transitive graph has no strictly maximal vertex).
-#
-# Disconnected intermediates must be kept (a connected graph can have a
-# disconnected vertex-deleted subgraph); connectivity is filtered at the
-# end.
+# Orderly generation (Read, "Every one a winner", Ann. Discrete Math. 2,
+# 1978).  Drop the last column of a canonical form: the rest is the string
+# of the labeling restricted to vertices 0..n-2, and a smaller string for
+# that subgraph, with vertex n-1 appended last, would beat the canonical
+# form.  So every canonical form on n vertices is a canonical form on n-1
+# vertices plus one column, and each class arises exactly once, by
+# extending its parent with the one column whose bits are canonical.
+# Sorted parents extended by columns in increasing order give the classes
+# in sorted order.  Disconnected graphs must be kept as parents (a
+# connected graph can have a disconnected vertex-deleted subgraph);
+# connectivity is filtered at the end.
 
 ENUM_MIN_N = 3
 ENUM_MAX_N = 8
 
 
-def _vertex_key(adj: tuple[int, ...], deg: list[int], v: int) -> tuple[int, int, int]:
-    row = adj[v]
-    return (deg[v], sum(deg[u] for u in _bits(row)),
-            sum((adj[u] & row).bit_count() for u in _bits(row)) // 2)
-
-
 @functools.lru_cache(maxsize=None)
 def _all_classes(n: int) -> tuple[str, ...]:
-    """Canonical forms of all simple graphs on n vertices (connected or not)."""
+    """Canonical forms of all simple graphs on n vertices (connected or
+    not), in sorted order."""
     if n == 1:
         return ("",)
     k = n - 1  # the new vertex
-    seen: set[str] = set()
+    # column c joins vertex k to u iff bit k-1-u of c is set (vertex 0 first)
+    subsets = [sum((c >> (k - 1 - u) & 1) << u for u in range(k)) for c in range(1 << k)]
+    out = []
     for bits in _all_classes(k):
         parent = _graph_from_bits(k, bits).adj
-        top = max(row.bit_count() for row in parent)
-        top_mask = sum(1 << v for v in range(k) if parent[v].bit_count() == top)
-        for subset in range(1 << k):
-            d = subset.bit_count()
-            # an old vertex of degree top gains one when it is in the subset
-            if d < top or (d == top and subset & top_mask):
-                continue
+        cols = [0] + [int(bits[j * (j - 1) // 2:j * (j + 1) // 2], 2) for j in range(1, k)]
+        for c, subset in enumerate(subsets):
             adj = tuple(row | (subset >> v & 1) << k for v, row in enumerate(parent)) + (subset,)
-            deg = [row.bit_count() for row in adj]
-            key = _vertex_key(adj, deg, k)
-            if all(deg[v] < d or _vertex_key(adj, deg, v) <= key for v in range(k)):
-                seen.add(_form(n, adj))
-    return tuple(sorted(seen))
+            if _canonical_columns(n, adj, cols + [c]) is not None:
+                out.append(bits + format(c, f"0{k}b"))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .datastore import DatasetRow, QaoaResultRow, build_dataset_row
 from .graphs import Graph
-from .qaoa import DELTA_EPS, maxcut_bruteforce, run_depth_series
+from .qaoa import DELTA_EPS, _require_edges, maxcut_bruteforce, run_depth_series
 from .structure import structure_profile
 from .symmetry import automorphism_group
 
@@ -59,9 +59,8 @@ def qaoa_result_rows(graphs: list[Graph], pmax: int, starts: int, seed: int,
                      workers: int | None = None,
                      delta_eps: float = DELTA_EPS) -> list[QaoaResultRow]:
     """Depth 0..pmax QAOA rows for a batch of graphs (sorted by id, then p)."""
-    for g in graphs:  # before any optimization: C_max = 0 leaves the ratio undefined
-        if not g.edge_count:
-            raise ValueError(f"graph {g.id} has no edges, so it has no MaxCut to approximate")
+    for g in graphs:  # fail before dispatching any work
+        _require_edges(g)
     jobs = [(g, pmax, starts, seed, delta_eps) for g in graphs]
     nested = _run(_qaoa_task, jobs, resolve_workers(workers))
     return sorted((row for rows in nested for row in rows), key=lambda r: (r.graph_id, r.p))

@@ -179,6 +179,12 @@ def maxcut_bruteforce(g: Graph) -> MaxCutSummary:
     return MaxCutSummary(cmax=cmax, optimal_count=int(mask.sum()), optimal_mask=mask)
 
 
+def _require_edges(g: Graph) -> None:
+    """Refuse an edgeless graph: C_max = 0 leaves the ratio <C>/C_max undefined."""
+    if not g.edge_count:
+        raise ValueError(f"graph {g.id} has no edges, so it has no MaxCut to approximate")
+
+
 # ---------------------------------------------------------------------------
 # The statevector kernel
 # ---------------------------------------------------------------------------
@@ -245,9 +251,6 @@ class _Objective:
 
     def expectation(self, psi: np.ndarray):
         return 2.0 * (np.abs(psi) ** 2 * self.cost).sum(axis=-1)
-
-    def value(self, theta) -> float:
-        return self.value_and_grad(theta)[0]
 
     def value_and_grad(self, theta):
         """<C> and its gradient at theta of shape (2p,), or at each row of
@@ -370,6 +373,7 @@ def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
 
 def uniform_outcome(g: Graph, mc: MaxCutSummary | None = None) -> QaoaOutcome:
     """Depth-0 metrics: the uniform superposition, no parameters."""
+    _require_edges(g)
     mc = maxcut_bruteforce(g) if mc is None else mc
     return _outcome(g, _Objective(g), mc, 0, None, OptimizerStats(0, -1, 0))
 
@@ -387,6 +391,7 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
         raise ValueError(f"depth must be one of {SUPPORTED_DEPTHS}, got {p}")
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    _require_edges(g)
     mc = maxcut_bruteforce(g) if mc is None else mc
     objective = _Objective(g)
     digest = int.from_bytes(hashlib.sha256(canonical_form(g).encode("ascii")).digest()[:8], "big")

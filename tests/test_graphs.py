@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import networkx as nx
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgraphlab.graphs import (Graph, Graph6Error, UnsupportedSizeError, _all_classes,
-                              canonical_form, complete_bipartite, complete_graph,
-                              connected_graph_count, cycle_graph, decode_graph6, encode_graph6,
-                              enumerate_connected, is_connected, path_graph, read_graph6_file,
-                              relabel, star_graph, write_graph6_file)
+                              _canonical_columns, canonical_form, complete_bipartite,
+                              complete_graph, connected_graph_count, cycle_graph, decode_graph6,
+                              encode_graph6, enumerate_connected, is_connected, path_graph,
+                              read_graph6_file, relabel, star_graph, write_graph6_file)
 
 
 def bits_graph(n, bits):
@@ -186,12 +187,20 @@ class TestCanonicalForm:
             assert len(set(forms)) == len(forms)
 
     def test_exhaustive_classes_n4(self):
-        # canonical forms partition all labeled 4-vertex graphs into the
-        # known 11 isomorphism classes
-        forms = set()
-        for word in range(1 << 6):
-            forms.add(canonical_form(bits_graph(4, [(word >> i) & 1 for i in range(6)])))
-        assert len(forms) == 11
+        # canonical forms partition all labeled 4- and 5-vertex graphs into
+        # the known 11 and 34 isomorphism classes, and the bounded search
+        # accepts a labeling's own columns iff they are the canonical form
+        for n, classes in ((4, 11), (5, 34)):
+            m = n * (n - 1) // 2
+            forms = set()
+            for word in range(1 << m):
+                g = bits_graph(n, [(word >> i) & 1 for i in range(m)])
+                form = canonical_form(g)
+                forms.add(form)
+                bits = "".join(str(g.adj[v] >> u & 1) for v in range(1, n) for u in range(v))
+                cols = [0] + [int(bits[j * (j - 1) // 2:j * (j + 1) // 2], 2) for j in range(1, n)]
+                assert (_canonical_columns(n, g.adj, cols) is not None) == (bits == form)
+            assert len(forms) == classes
 
 
 class TestEnumeration:
@@ -217,6 +226,13 @@ class TestEnumeration:
 
     def test_all_connected(self):
         assert all(is_connected(g) for g in enumerate_connected(5))
+
+    def test_n8_enumeration_pinned(self):
+        # sha256 of `graphs gen --n 8`; the golden count check has already
+        # filled the enumeration cache in a full run
+        text = "".join(encode_graph6(g) + "\n" for g in enumerate_connected(8))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145")
 
     def test_out_of_range(self):
         for n in (2, 9):

@@ -13,8 +13,8 @@ from scipy.optimize import minimize
 
 import qgraphlab
 from qgraphlab import qaoa
-from qgraphlab.graphs import (Graph, canonical_form, complete_graph, cycle_graph, enumerate_connected,
-                              path_graph, relabel, star_graph)
+from qgraphlab.graphs import (Graph, canonical_form, complete_graph, cycle_graph, decode_graph6,
+                              enumerate_connected, path_graph, relabel, star_graph)
 from qgraphlab.qaoa import (AngleVector, _lbfgsb, _Objective, cost_vector, evolve, expectation,
                             grid_scan_p1, maxcut_bruteforce, metrics_bundle, optimize_angles,
                             prob_cmax, run_depth_series, uniform_outcome)
@@ -209,7 +209,8 @@ class TestGradient:
         for i in range(2 * p):
             e = np.zeros(2 * p)
             e[i] = 1e-5
-            fd = (objective.value(theta + e) - objective.value(theta - e)) / 2e-5
+            up, down = objective.value_and_grad(theta + e)[0], objective.value_and_grad(theta - e)[0]
+            fd = (up - down) / 2e-5
             assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_matches_central_differences(self):
@@ -258,7 +259,7 @@ class TestLockstepOptimizer:
                 res = minimize(negated, theta0[row], jac=True, method="L-BFGS-B",
                                options={"maxiter": max_iter, "ftol": qaoa.OBJECTIVE_TOL,
                                         "gtol": 1e-9})
-                value0 = reference.value(theta0[row])
+                value0 = reference.value_and_grad(theta0[row])[0]
                 want_value, want_x = (-res.fun, res.x) if -res.fun >= value0 else (value0, theta0[row])
                 assert (nfev[row], nit[row]) == (res.nfev, res.nit)
                 assert abs(value[row] - want_value) <= 1e-12
@@ -361,6 +362,15 @@ class TestOptimization:
             optimize_angles(cycle_graph(4), 4)
         with pytest.raises(ValueError, match="depth"):
             optimize_angles(cycle_graph(4), 0)
+
+    def test_edgeless_graph_refused(self):
+        # C_max = 0 leaves the ratio undefined; each entry point refuses the
+        # graph up front instead of dividing by zero
+        g = decode_graph6("A?")
+        for call in (lambda: uniform_outcome(g), lambda: optimize_angles(g, 1, starts=2),
+                     lambda: run_depth_series(g, 1, starts=2)):
+            with pytest.raises(ValueError, match="has no edges"):
+                call()
 
     def test_grid_oracle_c4(self):
         _, _, value = grid_scan_p1(cycle_graph(4))
