@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import analysis, datastore, pipeline, verify
+from . import analysis, datastore, pipeline
 from .graphs import (connected_graph_count, encode_graph6, enumerate_connected,
                      read_graph6_file, write_graph6_file)
 
@@ -172,6 +172,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args, config: datastore.RunConfig) -> int:
+    from . import verify  # the suites load only for this command
+
     if args.suite == "golden":
         results = verify.golden_suite(args.long, args.huge, **dataclasses.asdict(config))
     else:

@@ -79,9 +79,6 @@ class Graph:
             adj[v] |= 1 << u
         return Graph(n, tuple(adj), id)
 
-    def with_id(self, id: int) -> "Graph":
-        return Graph(self.n, self.adj, id)
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
 
@@ -99,6 +96,11 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
+
+
+def _graph_name(g: Graph) -> str:
+    """How messages name a graph: "graph N" by its id, else "graph '<graph6 record>'"."""
+    return f"graph {g.id}" if g.id is not None else f"graph '{encode_graph6(g)}'"
 
 
 def _bits(mask: int):
@@ -134,6 +136,11 @@ def decode_graph6(text: str) -> Graph:
     for bytes outside the printable 63..126 range or for a record shorter
     than its size byte implies, and UnsupportedSizeError for n > 16.
     """
+    return _graph_from_bits(*_record_bits(text))
+
+
+def _record_bits(text: str) -> tuple[int, str]:
+    """A checked graph6 record's vertex count and data bits (see decode_graph6)."""
     text = text.strip()
     if not text:
         raise Graph6Error("empty graph6 record")
@@ -151,7 +158,7 @@ def decode_graph6(text: str) -> Graph:
         raise Graph6Error(f"truncated graph6 record: {len(data)} data bytes, expected {need}")
     if len(data) > need:
         raise Graph6Error(f"oversized graph6 record: {len(data)} data bytes, expected {need}")
-    return _graph_from_bits(n, "".join(format(ord(ch) - 63, "06b") for ch in data))
+    return n, "".join(format(ord(ch) - 63, "06b") for ch in data)
 
 
 def read_graph6_file(path) -> list[Graph]:
@@ -163,7 +170,7 @@ def read_graph6_file(path) -> list[Graph]:
             line = line.strip()
             if not line:
                 continue
-            graphs.append(decode_graph6(line).with_id(len(graphs) + 1))
+            graphs.append(_graph_from_bits(*_record_bits(line), id=len(graphs) + 1))
     return graphs
 
 
@@ -293,7 +300,7 @@ def _triangle(n: int, adj: tuple[int, ...]) -> str:
     return "".join("1" if adj[v] >> u & 1 else "0" for v in range(1, n) for u in range(v))
 
 
-def _graph_from_bits(n: int, bits: str) -> Graph:
+def _graph_from_bits(n: int, bits: str, id: int | None = None) -> Graph:
     """Inverse of _triangle; bits past the n(n-1)/2 triangle are ignored."""
     adj = [0] * n
     idx = 0
@@ -303,7 +310,7 @@ def _graph_from_bits(n: int, bits: str) -> Graph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             idx += 1
-    return Graph(n, tuple(adj))
+    return Graph(n, tuple(adj), id)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +366,7 @@ def enumerate_connected(n: int) -> list[Graph]:
     """
     if not ENUM_MIN_N <= n <= ENUM_MAX_N:
         raise UnsupportedSizeError(f"enumeration supports {ENUM_MIN_N} <= n <= {ENUM_MAX_N}, got {n}")
-    return [_graph_from_bits(n, bits).with_id(i) for i, bits in enumerate(_connected_forms(n), start=1)]
+    return [_graph_from_bits(n, bits, i) for i, bits in enumerate(_connected_forms(n), start=1)]
 
 
 def connected_graph_count(n: int) -> int:

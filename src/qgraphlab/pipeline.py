@@ -8,7 +8,6 @@ never change the output files.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .datastore import DatasetRow, QaoaResultRow, build_dataset_row
 from .graphs import Graph
@@ -45,6 +44,8 @@ def _qaoa_task(args: tuple[Graph, int, int, int, float]) -> list[QaoaResultRow]:
 def _run(task, jobs, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         return [task(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # with multiprocessing, only a pool needs it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
 

@@ -23,13 +23,20 @@ exact adjoint gradient) with all starts in lockstep, one kernel call per
 round for the starts that ask for a value, and the depth-1 optimum is
 cross-checked against a dense (gamma, beta) grid scan, in slices of
 gammas.  Random starts come from a stream keyed by (seed, canonical form,
-start index), so isomorphic graphs give identical results.
+start index), so isomorphic graphs give identical results: start idx is
+np.random.default_rng([seed, digest, idx]).random(2p), scaled, and all
+starts are drawn in one vectorised pass that rebuilds SeedSequence and
+PCG64 in uint64 arithmetic, without numpy.random.
+
+Importing this module loads numpy alone.  The first optimization loads
+scipy's compiled L-BFGS-B step (one extension, not scipy.optimize) and
+hashlib, which takes the canonical-form digest.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import hashlib
 import importlib.util
 import os
 import sys
@@ -38,40 +45,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
-
-def _load_lbfgsb():
-    """scipy's compiled L-BFGS-B module, loaded from its file in the installed
-    scipy package unless the process already holds it."""
-    name = "scipy.optimize._lbfgsb"
-    if name not in sys.modules:
-        scipy = importlib.util.find_spec("scipy")
-        if scipy is None:
-            raise ImportError("No module named 'scipy'", name="scipy")
-        spec = importlib.util.spec_from_file_location(name, os.path.join(
-            os.path.dirname(scipy.origin), "optimize", "_lbfgsb" + EXTENSION_SUFFIXES[0]))
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
-# L-BFGS-B makes tiny BLAS calls through scipy's own OpenBLAS, whose threads
-# busy-wait between calls: an optimization burns a second core, runs up to 3x
-# slower after a thread sleeps, and its wall time follows that core's load.
-# The library reads its thread count once, at load; a caller's count wins.
-_CHOSEN_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-# setulb, scipy's L-BFGS-B step, is private API: its module's file name and the
-# signature called here (scipy 1.15's C port) are checked against scipy 1.17.1.
-# Only that one extension is loaded, not scipy.optimize, whose import spends
-# about 0.5 s and 40 MB on linprog, linalg, sparse and more that nothing here
-# runs.  It is registered under its own name, so a process holds one copy
-# whichever of scipy.optimize and this module it imports first.  A missing
-# file raises ImportError naming its path.
-setulb = _load_lbfgsb().setulb
-if _CHOSEN_THREADS is None:
-    del os.environ["OPENBLAS_NUM_THREADS"]
-
-from .graphs import Graph, UnsupportedSizeError, canonical_form
+from .graphs import Graph, UnsupportedSizeError, _graph_name, canonical_form
 
 __all__ = [
     "MaxCutSummary",
@@ -182,7 +156,7 @@ def maxcut_bruteforce(g: Graph) -> MaxCutSummary:
 def _require_edges(g: Graph) -> None:
     """Refuse an edgeless graph: C_max = 0 leaves the ratio <C>/C_max undefined."""
     if not g.edge_count:
-        raise ValueError(f"graph {g.id} has no edges, so it has no MaxCut to approximate")
+        raise ValueError(f"{_graph_name(g)} has no edges, so it has no MaxCut to approximate")
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +274,52 @@ def prob_cmax(sv: np.ndarray, mc: MaxCutSummary) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _setulb():
+    """scipy's L-BFGS-B step, setulb, loaded on first call.
+
+    setulb is private API: its module's file name and the signature called
+    here (scipy 1.15's C port) are checked against scipy 1.17.1.  Only that
+    one extension is loaded, not scipy.optimize, whose import spends about
+    0.5 s and 40 MB on linprog, linalg, sparse and more that nothing here
+    runs.  It is registered under its own name, so a process holds one copy
+    whichever of scipy.optimize and this module loads it first.  A missing
+    file raises ImportError naming its path.
+
+    L-BFGS-B makes tiny BLAS calls through scipy's own OpenBLAS, whose
+    threads busy-wait between calls: an optimization burns a second core,
+    runs up to 3x slower after a thread sleeps, and forked workers that
+    inherit the threads run many times slower.  So unless the caller set
+    OPENBLAS_NUM_THREADS (a caller's count wins), the library runs one
+    thread.  It reads that variable once, at load, so it is loaded with
+    the variable set to 1; where it loaded earlier (with scipy.linalg or
+    scipy.optimize, here or in the process this one forked from), its count
+    is set through the setter that scipy's wheels export.
+    """
+    name = "scipy.optimize._lbfgsb"
+    chosen = os.environ.get("OPENBLAS_NUM_THREADS")
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("No module named 'scipy'", name="scipy")
+        spec = importlib.util.spec_from_file_location(name, os.path.join(
+            os.path.dirname(scipy.origin), "optimize", "_lbfgsb" + EXTENSION_SUFFIXES[0]))
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        try:
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+        finally:
+            if chosen is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+    if chosen is None:
+        library = ctypes.CDLL(sys.modules[name].__file__)  # dlsym also searches its OpenBLAS
+        set_threads = getattr(library, "scipy_openblas_set_num_threads", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+    return sys.modules[name].setulb
+
+
 def _lbfgsb(objective: _Objective, theta0: np.ndarray):
     """Maximize <C> by L-BFGS-B from every row of theta0, all rows in lockstep.
 
@@ -319,6 +339,7 @@ def _lbfgsb(objective: _Objective, theta0: np.ndarray):
     only the rows that asked.
     """
     rows, d = theta0.shape
+    setulb = _setulb()
     m, maxls, factr, pgtol = 10, 20, OBJECTIVE_TOL / np.finfo(float).eps, 1e-9
     x = np.array(theta0, dtype=float)  # setulb moves each row in place
     value0, grad0 = objective.value_and_grad(x)
@@ -361,6 +382,95 @@ def _lbfgsb(objective: _Objective, theta0: np.ndarray):
     return x, np.where(keep, value0, -f), np.array(nit), np.array(nfev)
 
 
+# Seeded starts.  Row idx of _start_points is what
+# np.random.default_rng([seed, digest, idx]).random(d) draws, rebuilt from
+# the algorithms that call defines, for all rows at once:
+# * SeedSequence (numpy's port of O'Neill's seed_seq_fe) hashes the entropy
+#   words, 32 bits each and least significant first, into a pool of 4 words
+#   and expands the pool into four 64-bit words w0..w3;
+# * PCG64 (O'Neill, HMC-CS-2014-0905) is the 128-bit LCG
+#   s <- s * 0x2360ED051FC65DA44385DF649FCCF645 + inc, seeded with
+#   inc = 2 (w2 w3) + 1 and s = step(step(0) + (w0 w1)); each draw steps once
+#   and outputs XSL-RR, rotr64(hi ^ lo, hi >> 58), of the new state;
+# * random() maps each output x to (x >> 11) 2^-53.
+# 128-bit values are (hi, lo) pairs of uint64 rows.  The hash constants do
+# not depend on the data, so they stay Python ints.
+
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _entropy_words(value: int) -> list[int]:
+    """SeedSequence's 32-bit words of a non-negative int; 0 is [0]."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    return [value >> shift & _MASK32 for shift in range(0, value.bit_length(), 32)] or [0]
+
+
+def _hash_constants(hash_const: int, mult: int):
+    """SeedSequence's hash constant before and after each successive hashmix."""
+    while True:
+        advanced = hash_const * mult & _MASK32
+        yield hash_const, advanced
+        hash_const = advanced
+
+
+def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+    before, after = next(constants)
+    value = (value ^ before) * after
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = 0xCA01F9DD * x - 0x4973F715 * y
+    return result ^ result >> 16
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    lo_sum = lo + add_lo
+    return hi + add_hi + (lo_sum < lo), lo_sum
+
+
+def _pcg_step(hi, lo, inc):
+    """s * multiplier + inc mod 2^128; lo * _PCG_MULT_LO is taken whole, on 32-bit limbs."""
+    a0, a1, b0, b1 = lo & _MASK32, lo >> 32, _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    carry = a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+    return _add128(carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI, mid << 32 | low & _MASK32, *inc)
+
+
+def _start_points(seed: int, digest: int, count: int, d: int) -> np.ndarray:
+    """Row idx, for idx < count, is np.random.default_rng([seed, digest, idx]).random(d),
+    bit for bit (see the comment above)."""
+    if count > 1 << 32:
+        raise ValueError(f"start indices must fit one 32-bit word: at most 2^32 starts, got {count}")
+    # every idx < 2^32 is one entropy word, so all rows share one word layout
+    entropy = [np.full(count, w, np.uint32) for w in _entropy_words(seed) + _entropy_words(digest)]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    entropy += [np.zeros(count, np.uint32)] * (4 - len(entropy))
+    constants = _hash_constants(0x43B0D7E5, 0x931E8875)
+    pool = [_hashmix(word, constants) for word in entropy[:4]]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], constants))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = _mix(pool[i_dst], _hashmix(word, constants))
+    constants = _hash_constants(0x8B51F9DD, 0x58F38DED)
+    halves = [_hashmix(pool[i % 4], constants).astype(np.uint64) for i in range(8)]
+    w0, w1, w2, w3 = (halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2))
+    inc = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    hi, lo = _pcg_step(*_add128(*inc, w0, w1), inc)  # step(0) is inc
+    out = np.empty((count, d))
+    for j in range(d):
+        hi, lo = _pcg_step(hi, lo, inc)
+        x, r = hi ^ lo, hi >> 58
+        out[:, j] = (x >> r | x << (64 - r & 63)) >> 11
+    return out * 2.0 ** -53
+
+
 def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
              stats: OptimizerStats) -> QaoaOutcome:
     angles = AngleVector.from_flat(theta) if p else AngleVector((), ())
@@ -394,12 +504,13 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
     _require_edges(g)
     mc = maxcut_bruteforce(g) if mc is None else mc
     objective = _Objective(g)
+    import hashlib  # loaded here: nothing else in a run takes a digest
+
     digest = int.from_bytes(hashlib.sha256(canonical_form(g).encode("ascii")).digest()[:8], "big")
     # uniform(0, hi) is 0 + hi * random(), so one draw of 2p doubles gives the
     # gammas in [0, 2pi) and then the betas in [0, pi)
-    scale = np.repeat([TWO_PI, np.pi], p)
-    points = [np.random.default_rng([seed, digest, idx]).random(2 * p) * scale for idx in range(starts)]
-    thetas, values, _, nfev = _lbfgsb(objective, np.array(points + list(extra_starts), dtype=float))
+    points = _start_points(seed, digest, starts, 2 * p) * np.repeat([TWO_PI, np.pi], p)
+    thetas, values, _, nfev = _lbfgsb(objective, np.vstack([points, *extra_starts]))
     best_start = int(np.argmax(values))
     value, theta = values[best_start], thetas[best_start]
     if p == 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _bits, _layers, is_connected
+from .graphs import Graph, _bits, _graph_name, _layers, is_connected
 
 __all__ = [
     "DisconnectedGraphError",
@@ -59,7 +59,7 @@ class StructureProfile:
 def structure_profile(g: Graph) -> StructureProfile:
     """Compute every structural property of one connected graph."""
     if not is_connected(g):
-        raise DisconnectedGraphError(f"graph {g.id} is not connected; structure properties "
+        raise DisconnectedGraphError(f"{_graph_name(g)} is not connected; structure properties "
                                      f"are defined for connected graphs only")
     levels = [_bfs_levels(g, v) for v in range(g.n)]
     dm, depth = np.array(levels, dtype=np.int64), levels[0]
@@ -189,7 +189,7 @@ def cut_vertices_by_deletion(g: Graph) -> list[int]:
     """Definitional reference for the profile's cut vertices: v is a cut
     vertex iff deleting it disconnects the rest."""
     if not is_connected(g):
-        raise DisconnectedGraphError(f"graph {g.id} is not connected; cut vertices are "
+        raise DisconnectedGraphError(f"{_graph_name(g)} is not connected; cut vertices are "
                                      f"defined for connected graphs only")
     out = []
     full = (1 << g.n) - 1

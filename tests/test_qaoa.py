@@ -15,9 +15,9 @@ import qgraphlab
 from qgraphlab import qaoa
 from qgraphlab.graphs import (Graph, canonical_form, complete_graph, cycle_graph, decode_graph6,
                               enumerate_connected, path_graph, relabel, star_graph)
-from qgraphlab.qaoa import (AngleVector, _lbfgsb, _Objective, cost_vector, evolve, expectation,
-                            grid_scan_p1, maxcut_bruteforce, metrics_bundle, optimize_angles,
-                            prob_cmax, run_depth_series, uniform_outcome)
+from qgraphlab.qaoa import (AngleVector, _lbfgsb, _Objective, _start_points, cost_vector, evolve,
+                            expectation, grid_scan_p1, maxcut_bruteforce, metrics_bundle,
+                            optimize_angles, prob_cmax, run_depth_series, uniform_outcome)
 
 
 def brute_force_maxcut(g):
@@ -346,6 +346,28 @@ class TestStartStream:
                 for j, point in enumerate(extra):
                     assert np.array_equal(theta0[starts + j], point)
 
+    def test_vectorised_streams_equal_default_rng(self):
+        # seeds and digests on both sides of one 32-bit word, and the
+        # canonical-form digest optimize_angles takes
+        form = canonical_form(enumerate_connected(5)[7])
+        real = int.from_bytes(hashlib.sha256(form.encode("ascii")).digest()[:8], "big")
+        for seed in (0, 11, 2**32 - 1, 2**32 + 5):
+            for digest in (0, 0x9E3779B9, 2**64 - 1, real):
+                for d in (2, 4, 6):
+                    points = _start_points(seed, digest, 64, d)
+                    assert points.shape == (64, d)
+                    for idx in range(64):
+                        want = np.random.default_rng([seed, digest, idx]).random(d)
+                        assert np.array_equal(points[idx], want), (seed, digest, d, idx)
+
+    def test_stream_arguments_refused(self):
+        with pytest.raises(ValueError, match="2\\^32"):
+            _start_points(0, 1, 2**32 + 1, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            _start_points(-1, 1, 4, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            optimize_angles(cycle_graph(4), 1, starts=2, seed=-1)
+
 
 class TestOptimization:
     def test_k3_depth2_reaches_optimum(self):
@@ -371,6 +393,12 @@ class TestOptimization:
                      lambda: run_depth_series(g, 1, starts=2)):
             with pytest.raises(ValueError, match="has no edges"):
                 call()
+
+    def test_edgeless_graph_named_by_id_or_graph6(self):
+        with pytest.raises(ValueError, match="^graph 'B\\?' has no edges"):
+            optimize_angles(Graph(3, (0, 0, 0)), 1)
+        with pytest.raises(ValueError, match="^graph 4 has no edges"):
+            optimize_angles(Graph(3, (0, 0, 0), id=4), 1)
 
     def test_grid_oracle_c4(self):
         _, _, value = grid_scan_p1(cycle_graph(4))
@@ -454,9 +482,24 @@ class TestMetricsBundle:
 
 _THREADS_SCRIPT = """
 import os, numpy
+from qgraphlab.graphs import cycle_graph
+from qgraphlab.qaoa import optimize_angles
 before = len(os.listdir("/proc/self/task"))
-import qgraphlab.qaoa
+optimize_angles(cycle_graph(4), 1, starts=2)
 print(before, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+# scipy.optimize loads scipy's OpenBLAS first, at the library's default count
+_LOADED_FIRST_SCRIPT = """
+import ctypes, scipy.optimize
+from qgraphlab.graphs import cycle_graph
+from qgraphlab.qaoa import optimize_angles
+get = getattr(ctypes.CDLL(scipy.optimize._lbfgsb.__file__), "scipy_openblas_get_num_threads", None)
+if get is None:
+    print("absent")
+else:
+    optimize_angles(cycle_graph(4), 1, starts=2)
+    print(get())
 """
 
 
@@ -474,31 +517,63 @@ def _run_in_child(script, threads=None):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 class TestBlasThreads:
-    """Importing qaoa loads scipy's OpenBLAS, which L-BFGS-B calls, without
-    worker threads, and leaves OPENBLAS_NUM_THREADS as it was."""
+    """The first optimization loads scipy's OpenBLAS, which L-BFGS-B calls,
+    without worker threads, and leaves OPENBLAS_NUM_THREADS as it was."""
 
-    def _import_in_child(self, threads):
+    def _optimize_in_child(self, threads):
         out = _run_in_child(_THREADS_SCRIPT, threads)
         return int(out[0]), int(out[1]), out[2]
 
-    def test_import_starts_no_threads_and_restores_env(self):
-        before, after, chosen = self._import_in_child(None)
+    def test_first_optimization_starts_no_threads_and_restores_env(self):
+        before, after, chosen = self._optimize_in_child(None)
         assert after == before
         assert chosen == "None"
 
     def test_caller_thread_count_kept(self):
-        _, _, chosen = self._import_in_child("2")
+        _, _, chosen = self._optimize_in_child("2")
         assert chosen == "2"
+
+    @pytest.mark.parametrize("threads, want", [(None, "1"), ("2", "2")])
+    def test_library_loaded_first_runs_one_thread(self, threads, want):
+        out = _run_in_child(_LOADED_FIRST_SCRIPT, threads)
+        if out == ["absent"]:
+            pytest.skip("this scipy's OpenBLAS exports no scipy_openblas_get_num_threads")
+        assert out == [want]
+
+
+_ON_FIRST_USE = ("numpy.random", "hashlib", "scipy.optimize._lbfgsb", "concurrent.futures",
+                 "qgraphlab.verify")
 
 
 class TestImportFootprint:
-    """qaoa loads scipy's L-BFGS-B extension alone, once per process."""
+    """qaoa loads scipy's L-BFGS-B extension alone, once per process and on
+    first use; the CLI loads what a command uses when it runs."""
 
     def test_cli_import_loads_no_scipy_optimize(self):
         assert _run_in_child("import sys, qgraphlab.cli; print('scipy.optimize' in sys.modules)") \
             == ["False"]
 
+    def test_cli_import_defers_what_commands_load(self):
+        script = f"import sys, qgraphlab.cli; print(*[m in sys.modules for m in {_ON_FIRST_USE}])"
+        assert _run_in_child(script) == ["False"] * len(_ON_FIRST_USE)
+
+    def test_qaoa_command_loads_no_numpy_random(self, tmp_path):
+        graphs, out = tmp_path / "k3.g6", tmp_path / "qaoa.csv"
+        graphs.write_text("Bw\n")
+        script = (f"import sys; from qgraphlab import cli; "
+                  f"code = cli.main(['qaoa', '--in', {str(graphs)!r}, '--p', '1', '--starts', '3', "
+                  f"'--out', {str(out)!r}, '--workers', '1']); "
+                  f"print(code, 'scipy.optimize._lbfgsb' in sys.modules, 'numpy.random' in sys.modules)")
+        assert _run_in_child(script) == ["0", "True", "False"]
+
     def test_setulb_shared_with_scipy_optimize(self):
-        assert _run_in_child("import scipy.optimize, qgraphlab.qaoa; "
-                             "print(qgraphlab.qaoa.setulb is scipy.optimize._lbfgsb.setulb)") \
-            == ["True"]
+        # in both import orders the accessor returns the copy scipy.optimize
+        # holds; loaded first, it is the copy scipy.optimize then imports
+        # (as a package attribute only once scipy.optimize came first)
+        for script in ("import scipy.optimize, qgraphlab.qaoa; "
+                       "print(qgraphlab.qaoa._setulb() is scipy.optimize._lbfgsb.setulb)",
+                       "import qgraphlab.qaoa, scipy.optimize; "
+                       "print(qgraphlab.qaoa._setulb() is scipy.optimize._lbfgsb.setulb)",
+                       "import qgraphlab.qaoa; setulb = qgraphlab.qaoa._setulb(); "
+                       "from scipy.optimize import _lbfgsb; print(setulb is _lbfgsb.setulb)"):
+            assert _run_in_child(script) == ["True"], script

@@ -92,6 +92,13 @@ class TestDistances:
             with pytest.raises(DisconnectedGraphError, match="graph 7 is not connected"):
                 op(split)
 
+    @pytest.mark.parametrize("op, defined", [(structure_profile, "structure properties"),
+                                             (cut_vertices_by_deletion, "cut vertices")])
+    def test_disconnected_without_id_named_by_graph6(self, op, defined):
+        with pytest.raises(DisconnectedGraphError,
+                           match=f"^graph 'C`' is not connected; {defined} are defined"):
+            op(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
 
 class TestDiameter:
     def test_examples(self):
