@@ -283,7 +283,9 @@ def _canonical_columns(n: int, adj: tuple[int, ...],
             placed.pop()
         return False
 
-    return None if beaten([], 0, 0) else best
+    found = beaten([], 0, 0)
+    beaten = None  # break the closure's reference to itself: no garbage left for the cyclic GC
+    return None if found else best
 
 
 def canonical_form(g: Graph) -> str:
@@ -347,6 +349,11 @@ def _all_classes(n: int) -> tuple[str, ...]:
         parent = _graph_from_bits(k, bits).adj
         cols = [0] + [int(bits[j * (j - 1) // 2:j * (j + 1) // 2], 2) for j in range(1, k)]
         for c, subset in enumerate(subsets):
+            # The new vertex moved to position j (0 < j < k), the prefix kept,
+            # has column c >> (k - j) there; a smaller one than cols[j] beats
+            # c, so the bounded search would return None.
+            if any(c >> (k - j) < cols[j] for j in range(1, k)):
+                continue
             adj = tuple(row | (subset >> v & 1) << k for v, row in enumerate(parent)) + (subset,)
             if _canonical_columns(n, adj, cols + [c]) is not None:
                 out.append(bits + format(c, f"0{k}b"))

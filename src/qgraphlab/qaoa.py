@@ -30,7 +30,8 @@ PCG64 in uint64 arithmetic, without numpy.random.
 
 Importing this module loads numpy alone.  The first optimization loads
 scipy's compiled L-BFGS-B step (one extension, not scipy.optimize) and
-hashlib, which takes the canonical-form digest.
+CPython's own SHA-256 module for the canonical-form digest, not hashlib,
+which would load OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -180,6 +181,9 @@ class _Objective:
 
     states() evolves a batch of angle sets; value_and_grad() adds the exact
     gradient of <C> by the adjoint recursion over the saved forward steps.
+    For each step `saved` holds the state after it, its diagonal, and its
+    small per-level exp table with the level index, not the full phase
+    array: the backward pass looks the conjugate phases up from the table.
     Rows do not depend on their batch, bit for bit: reductions run along the
     row, and each complex product has one operand order (a * b may swap them
     to reuse a large temporary; complex products do not commute bitwise).
@@ -191,15 +195,16 @@ class _Objective:
         cost = cost_vector(g)[:half]
         self.cost = cost.astype(float)
         self.weight = g.n - 2.0 * (ones + ones % 2)  # sum_q X_q in the Hadamard basis
-        self.cost_table = np.arange(g.edge_count + 1.0), cost
-        self.weight_table = g.n - 2.0 * np.arange(g.n + 1), ones + ones % 2
+        self.cost_levels, self.cost_index = np.arange(g.edge_count + 1.0), cost
+        self.weight_levels, self.weight_index = g.n - 2.0 * np.arange(g.n + 1), ones + ones % 2
         self.lead, self.trail = _hadamard_factors(g.n)
         self.uniform = np.full(half, 2.0 ** (-g.n / 2), dtype=complex)
 
     @staticmethod
-    def _phase(angle, levels, index) -> np.ndarray:
-        """exp(-i angle v), v = levels[index]; np.take, not [..., index], keeps it C-contiguous."""
-        return np.take(np.exp(-1j * np.multiply.outer(angle, levels)), index, axis=-1)
+    def _table(angle, levels) -> np.ndarray:
+        """exp(-i angle v) for each level v, along a new last axis; a phase array is
+        table.take(index, axis=-1) (np.take, not [..., index], keeps it C-contiguous)."""
+        return np.exp(-1j * np.multiply.outer(angle, levels))
 
     def _hadamard(self, psi: np.ndarray) -> np.ndarray:
         """H along the last axis of a C-contiguous complex batch (a new array)."""
@@ -211,16 +216,17 @@ class _Objective:
         """Half states after the layers.  Angle arrays of shape (p, *batch)
         broadcast together and give states of shape (*batch, 2^(n-1)).
         `saved` collects, per step (cost, then mixer), the state after it
-        (the mixer's in the Hadamard basis), its diagonal and phase factors."""
+        (the mixer's in the Hadamard basis), its diagonal, its exp table and
+        its level index."""
         psi = self.uniform
         for gamma, beta in zip(np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float)):
-            cost_phase = self._phase(gamma, *self.cost_table)
-            mixer_phase = self._phase(beta, *self.weight_table)
-            phased = np.multiply(psi, cost_phase)
-            mixed = np.multiply(self._hadamard(phased), mixer_phase)
+            cost_exp, mixer_exp = self._table(gamma, self.cost_levels), self._table(beta, self.weight_levels)
+            phased = np.multiply(psi, cost_exp.take(self.cost_index, axis=-1))
+            mixed = np.multiply(self._hadamard(phased), mixer_exp.take(self.weight_index, axis=-1))
             psi = self._hadamard(mixed)
             if saved is not None:
-                saved += (phased, self.cost, cost_phase), (mixed, self.weight, mixer_phase)
+                saved += ((phased, self.cost, cost_exp, self.cost_index),
+                          (mixed, self.weight, mixer_exp, self.weight_index))
         return psi
 
     def expectation(self, psi: np.ndarray):
@@ -244,11 +250,13 @@ class _Objective:
         # d<C>/dgamma one in the computational basis); steps run backwards.
         grad = np.empty_like(rows)
         adjoint = np.multiply(self.cost, sv)
+        buf, rbuf = np.empty_like(sv), np.empty(sv.shape)
         columns = np.arange(2 * p).reshape(2, p).T.ravel()  # gamma_1, beta_1, gamma_2, ...
-        for column, (state, diagonal, phase) in zip(columns[::-1], saved[::-1]):
+        for column, (state, diagonal, table, index) in zip(columns[::-1], saved[::-1]):
             adjoint = self._hadamard(adjoint)
-            grad[:, column] = 4.0 * (np.multiply(adjoint.conj(), state).imag * diagonal).sum(axis=-1)
-            adjoint *= phase.conj()
+            np.multiply(np.conjugate(adjoint, out=buf), state, out=buf)
+            grad[:, column] = 4.0 * np.multiply(buf.imag, diagonal, out=rbuf).sum(axis=-1)
+            adjoint *= table.conj().take(index, axis=-1)  # conj only flips sign bits
         values = self.expectation(sv)
         return (values, grad) if theta.ndim > 1 else (float(values[0]), grad[0])
 
@@ -382,6 +390,28 @@ def _lbfgsb(objective: _Objective, theta0: np.ndarray):
     return x, np.where(keep, value0, -f), np.array(nit), np.array(nfev)
 
 
+@functools.cache
+def _sha256():
+    """CPython's own SHA-256 constructor, loaded on first call: _sha2.sha256
+    from 3.12, _sha256.sha256 before, as random.py takes its SHA-512.
+    hashlib, only on a build with neither, loads OpenSSL's libcrypto, about
+    3.5 MB of RSS for one short digest per optimization."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+def _start_key(form: str) -> int:
+    """The digest that keys a graph's start streams: the first 8 bytes of
+    sha256 of its canonical form, big-endian."""
+    return int.from_bytes(_sha256()(form.encode("ascii")).digest()[:8], "big")
+
+
 # Seeded starts.  Row idx of _start_points is what
 # np.random.default_rng([seed, digest, idx]).random(d) draws, rebuilt from
 # the algorithms that call defines, for all rows at once:
@@ -504,9 +534,7 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
     _require_edges(g)
     mc = maxcut_bruteforce(g) if mc is None else mc
     objective = _Objective(g)
-    import hashlib  # loaded here: nothing else in a run takes a digest
-
-    digest = int.from_bytes(hashlib.sha256(canonical_form(g).encode("ascii")).digest()[:8], "big")
+    digest = _start_key(canonical_form(g))
     # uniform(0, hi) is 0 + hi * random(), so one draw of 2p doubles gives the
     # gammas in [0, 2pi) and then the betas in [0, pi)
     points = _start_points(seed, digest, starts, 2 * p) * np.repeat([TWO_PI, np.pi], p)

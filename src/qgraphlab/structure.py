@@ -148,6 +148,7 @@ def _clique_number(g: Graph) -> int:
             expand(size + 1, cand & g.adj[v])
 
     expand(0, (1 << g.n) - 1)
+    expand = None  # break the closure's reference to itself: no garbage left for the cyclic GC
     return best
 
 
@@ -182,6 +183,7 @@ def _cut_vertices(g: Graph) -> tuple[int, ...]:
             out.add(v)
 
     dfs(0, -1)
+    dfs = None  # break the closure's reference to itself: no garbage left for the cyclic GC
     return tuple(sorted(out))
 
 
@@ -227,6 +229,7 @@ def _count_simple_cycles(g: Graph) -> dict[int, int]:
         allowed = ~((1 << (root + 1)) - 1)  # only vertices above the root
         path[0] = root
         walk(root, root, 1, 1 << root, allowed)
+    walk = None  # break the closure's reference to itself: no garbage left for the cyclic GC
     return counts
 
 

@@ -62,6 +62,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
         image[v] = -1
 
     place(0)
+    place = None  # break the closure's reference to itself: no garbage left for the cyclic GC
     return found
 
 

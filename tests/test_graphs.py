@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 
@@ -11,6 +12,8 @@ from qgraphlab.graphs import (Graph, Graph6Error, UnsupportedSizeError, _all_cla
                               complete_graph, connected_graph_count, cycle_graph, decode_graph6,
                               encode_graph6, enumerate_connected, is_connected, path_graph,
                               read_graph6_file, relabel, star_graph, write_graph6_file)
+from qgraphlab.structure import structure_profile
+from qgraphlab.symmetry import automorphism_group
 
 
 def bits_graph(n, bits):
@@ -272,3 +275,22 @@ class TestConstructions:
     def test_star(self):
         g = star_graph(4)
         assert g.degrees() == (3, 1, 1, 1)
+
+
+class TestSearchMemory:
+    def test_searches_leave_no_cyclic_garbage(self):
+        """The recursive searches (canonical form, enumeration, structure,
+        automorphisms) free everything they build by reference counting, so a
+        command's peak memory does not depend on when the cyclic GC runs."""
+        graphs = enumerate_connected(6)
+        gc.collect()
+        gc.disable()
+        try:
+            _all_classes.__wrapped__(6)
+            for g in graphs:
+                canonical_form(g)
+                structure_profile(g)
+                automorphism_group(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

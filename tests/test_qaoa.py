@@ -13,10 +13,10 @@ from scipy.optimize import minimize
 
 import qgraphlab
 from qgraphlab import qaoa
-from qgraphlab.graphs import (Graph, canonical_form, complete_graph, cycle_graph, decode_graph6,
-                              enumerate_connected, path_graph, relabel, star_graph)
-from qgraphlab.qaoa import (AngleVector, _lbfgsb, _Objective, _start_points, cost_vector, evolve,
-                            expectation, grid_scan_p1, maxcut_bruteforce, metrics_bundle,
+from qgraphlab.graphs import (Graph, _all_classes, canonical_form, complete_graph, cycle_graph,
+                              decode_graph6, enumerate_connected, path_graph, relabel, star_graph)
+from qgraphlab.qaoa import (AngleVector, _lbfgsb, _Objective, _start_key, _start_points, cost_vector,
+                            evolve, expectation, grid_scan_p1, maxcut_bruteforce, metrics_bundle,
                             optimize_angles, prob_cmax, run_depth_series, uniform_outcome)
 
 
@@ -317,6 +317,43 @@ class TestLockstepOptimizer:
                     psi = objective._hadamard(mixed)
                 assert np.array_equal(objective.states(gammas, betas), psi)
 
+    def test_adjoint_pass_equals_full_phase_recursion(self):
+        """value_and_grad looks the backward phases up from per-level tables
+        and forms each gradient term in reused buffers; the reference keeps
+        every step's full phase array and allocates every term, with the same
+        operand order."""
+        rng = np.random.default_rng(29)
+        graphs = random.Random(29)
+        for n in range(3, 10):
+            g = random_graph(graphs, n, graphs.uniform(0.3, 0.9))
+            objective = _Objective(g)
+            half = 1 << (n - 1)
+            cost = cost_vector(g)[:half].astype(float)
+            ones = np.array([bin(x).count("1") for x in range(half)])
+            weight = n - 2.0 * (ones + ones % 2)
+            for p in (1, 2, 3):
+                for rows in (1, 201):
+                    theta = rng.uniform(-2 * np.pi, 4 * np.pi, (rows, 2 * p))
+                    psi, steps = objective.uniform, []
+                    for gamma, beta in zip(theta[:, :p].T, theta[:, p:].T):
+                        cost_phase = np.exp(-1j * np.multiply.outer(gamma, cost))
+                        phased = psi * cost_phase
+                        mixer_phase = np.exp(-1j * np.multiply.outer(beta, weight))
+                        mixed = objective._hadamard(phased) * mixer_phase
+                        psi = objective._hadamard(mixed)
+                        steps += (phased, cost, cost_phase), (mixed, weight, mixer_phase)
+                    grad = np.empty_like(theta)
+                    adjoint = cost * psi
+                    columns = [c for i in range(p) for c in (i, p + i)]
+                    for column, (state, diagonal, phase) in zip(columns[::-1], steps[::-1]):
+                        adjoint = objective._hadamard(adjoint)
+                        grad[:, column] = 4.0 * ((adjoint.conj() * state).imag * diagonal).sum(axis=-1)
+                        # np.multiply: a * b could swap operands to reuse b's temporary
+                        adjoint = np.multiply(adjoint, phase.conj())
+                    value = 2.0 * (np.abs(psi) ** 2 * cost).sum(axis=-1)
+                    got_value, got_grad = objective.value_and_grad(theta)
+                    assert np.array_equal(got_value, value) and np.array_equal(got_grad, grad), (n, p, rows)
+
 
 class TestStartStream:
     """optimize_angles's random starts, pinned to the seeded stream they come from."""
@@ -359,6 +396,16 @@ class TestStartStream:
                     for idx in range(64):
                         want = np.random.default_rng([seed, digest, idx]).random(d)
                         assert np.array_equal(points[idx], want), (seed, digest, d, idx)
+
+    def test_start_key_equals_hashlib(self):
+        # every canonical form for n <= 6, and a 16-vertex form of 120
+        # characters, which spans two SHA-256 blocks
+        graphs = random.Random(16)
+        big = canonical_form(random_graph(graphs, 16, 0.4))
+        assert len(big) == 120
+        for form in [form for n in range(1, 7) for form in _all_classes(n)] + [big]:
+            want = int.from_bytes(hashlib.sha256(form.encode("ascii")).digest()[:8], "big")
+            assert _start_key(form) == want, form
 
     def test_stream_arguments_refused(self):
         with pytest.raises(ValueError, match="2\\^32"):
@@ -558,13 +605,15 @@ class TestImportFootprint:
         assert _run_in_child(script) == ["False"] * len(_ON_FIRST_USE)
 
     def test_qaoa_command_loads_no_numpy_random(self, tmp_path):
+        # nor hashlib: the start key's digest is CPython's own SHA-256, not OpenSSL's
         graphs, out = tmp_path / "k3.g6", tmp_path / "qaoa.csv"
         graphs.write_text("Bw\n")
         script = (f"import sys; from qgraphlab import cli; "
                   f"code = cli.main(['qaoa', '--in', {str(graphs)!r}, '--p', '1', '--starts', '3', "
                   f"'--out', {str(out)!r}, '--workers', '1']); "
-                  f"print(code, 'scipy.optimize._lbfgsb' in sys.modules, 'numpy.random' in sys.modules)")
-        assert _run_in_child(script) == ["0", "True", "False"]
+                  f"print(code, *[m in sys.modules for m in "
+                  f"('scipy.optimize._lbfgsb', 'numpy.random', 'hashlib', '_hashlib')])")
+        assert _run_in_child(script) == ["0", "True", "False", "False", "False"]
 
     def test_setulb_shared_with_scipy_optimize(self):
         # in both import orders the accessor returns the copy scipy.optimize
