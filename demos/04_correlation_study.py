@@ -16,7 +16,7 @@ STARTS = 40  # enough for global optima on graphs this small
 
 graphs = enumerate_connected(N)
 rows = dataset_rows(graphs)
-outcomes = [r.as_outcome() for r in qaoa_result_rows(graphs, pmax=2, starts=STARTS, seed=0)]
+outcomes = qaoa_result_rows(graphs, pmax=2, starts=STARTS, seed=0)
 
 for p in (0, 1, 2):
     cells = {(c.property, c.metric): c.r for c in correlation_table(rows, outcomes, N, p)}

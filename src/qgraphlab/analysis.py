@@ -6,6 +6,9 @@ Boolean properties are encoded 1 = true, 0 = false.  A correlation is
 undefined (None) whenever either variable has no variance or fewer than
 two samples remain; undefined delta ratios are dropped pairwise and the
 surviving sample size is recorded per cell.
+
+Outcomes are read only through graph_id, p and the four metric fields, so
+the QaoaResultRows of a results file serve as they are.
 """
 
 from __future__ import annotations

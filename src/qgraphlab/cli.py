@@ -38,18 +38,17 @@ def _build_parser() -> argparse.ArgumentParser:
     settings.add_argument("--config", help="flat key=value file of run settings (see RunConfig)")
     settings.add_argument("--workers", type=int, help="worker processes (0 = usable CPUs)")
     settings.set_defaults(config_reads=("workers",))
-    search = argparse.ArgumentParser(add_help=False, parents=[settings])
-    search.add_argument("--starts", type=int, help="random starts per depth (default 200)")
-    search.add_argument("--seed", type=int, help="global seed (default 0)")
-    search.set_defaults(config_reads=None)  # every key
 
     props = sub.add_parser("props", parents=[settings],
                            help="per-graph structure and symmetry dataset")
     props.add_argument("--in", dest="infile", required=True, help="graph6 input file")
     props.add_argument("--out", required=True, help="dataset CSV to write")
 
-    qaoa_cmd = sub.add_parser("qaoa", parents=[search],
+    qaoa_cmd = sub.add_parser("qaoa", parents=[settings],
                               help="optimize angles and store metrics for depths 0..P")
+    qaoa_cmd.add_argument("--starts", type=int, help="random starts per depth (default 200)")
+    qaoa_cmd.add_argument("--seed", type=int, help="global seed (default 0)")
+    qaoa_cmd.set_defaults(config_reads=None)  # every key
     qaoa_cmd.add_argument("--in", dest="infile", required=True, help="graph6 input file")
     qaoa_cmd.add_argument("--p", type=int, required=True, help="maximum depth (0..3)")
     qaoa_cmd.add_argument("--out", required=True, help="results CSV to write")
@@ -73,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the acceptance suites")
     suites = ver.add_subparsers(dest="suite", required=True)
-    golden = suites.add_parser("golden", parents=[search], help="reference-data checks")
+    golden = suites.add_parser("golden", parents=[settings], help="reference-data checks")
     golden.add_argument("--long", action="store_true",
                         help="include the n<=6 correlation-grid reproduction (tens of minutes)")
     golden.add_argument("--huge", action="store_true",
@@ -118,7 +117,7 @@ def _cmd_qaoa(args, config: datastore.RunConfig) -> int:
         raise ValueError(f"--p must be within 0..3, got {args.p}")
     graphs = _load_graphs(args.infile)
     rows = pipeline.qaoa_result_rows(graphs, args.p, config.starts, config.seed,
-                                     workers=config.workers, delta_eps=config.delta_eps)
+                                     workers=config.workers)
     datastore.write_qaoa_results(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -130,7 +129,7 @@ def _analysis_inputs(args):
     sizes = sorted({r.n for r in results})
     depths = sorted({r.p for r in results})
     # graph ids restart at 1 for every vertex count, so pairing is per-n
-    outcomes_by_n = {n: [r.as_outcome() for r in results if r.n == n] for n in sizes}
+    outcomes_by_n = {n: [r for r in results if r.n == n] for n in sizes}
     return rows, outcomes_by_n, sizes, depths
 
 
@@ -175,7 +174,7 @@ def _cmd_verify(args, config: datastore.RunConfig) -> int:
     from . import verify  # the suites load only for this command
 
     if args.suite == "golden":
-        results = verify.golden_suite(args.long, args.huge, **dataclasses.asdict(config))
+        results = verify.golden_suite(args.long, args.huge, workers=config.workers)
     else:
         results = verify.invariant_suite(workers=config.workers)
     for result in results:

@@ -24,7 +24,7 @@ from operator import attrgetter
 
 from .analysis import GroupAverageRow
 from .graphs import Graph, encode_graph6
-from .qaoa import DELTA_EPS, AngleVector, OptimizerStats, QaoaOutcome
+from .qaoa import AngleVector, OptimizerStats, QaoaOutcome
 
 __all__ = [
     "SchemaError",
@@ -361,7 +361,6 @@ class RunConfig:
     starts: int = 200
     seed: int = 0
     workers: int = 0  # 0 = available parallelism
-    delta_eps: float = DELTA_EPS
 
     def __post_init__(self):
         if self.starts < 1:
@@ -370,8 +369,6 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if not self.delta_eps > 0:
-            raise ValueError("delta_eps must be > 0")
 
 
 def load_config(path: str, reads=None) -> RunConfig:

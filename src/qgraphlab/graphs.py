@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 MAX_VERTICES = 16  # single size byte in graph6; study scope is n <= 8
+_BLANK = " \t\n\r\v\f"  # the whitespace around a graph6 record; any other byte is malformed
 
 
 class Graph6Error(ValueError):
@@ -141,7 +142,7 @@ def decode_graph6(text: str) -> Graph:
 
 def _record_bits(text: str) -> tuple[int, str]:
     """A checked graph6 record's vertex count and data bits (see decode_graph6)."""
-    text = text.strip()
+    text = text.strip(_BLANK)
     if not text:
         raise Graph6Error("empty graph6 record")
     for ch in text:
@@ -163,14 +164,17 @@ def _record_bits(text: str) -> tuple[int, str]:
 
 def read_graph6_file(path) -> list[Graph]:
     """Read a graph6 file (one record per line, blank lines skipped); ids
-    number the records 1, 2, ... in file order."""
+    number the records 1, 2, ... in file order.  A malformed record's error
+    starts with "path:line:".  Latin-1 reads each byte as one character, so
+    _record_bits names a stray byte."""
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            graphs.append(_graph_from_bits(*_record_bits(line), id=len(graphs) + 1))
+    with open(path, "r", encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if line.strip(_BLANK):
+                    graphs.append(_graph_from_bits(*_record_bits(line), id=len(graphs) + 1))
+            except ValueError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
     return graphs
 
 

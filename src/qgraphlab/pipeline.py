@@ -11,7 +11,7 @@ import os
 
 from .datastore import DatasetRow, QaoaResultRow, build_dataset_row
 from .graphs import Graph
-from .qaoa import DELTA_EPS, _require_edges, maxcut_bruteforce, run_depth_series
+from .qaoa import _require_edges, maxcut_bruteforce, run_depth_series
 from .structure import structure_profile
 from .symmetry import automorphism_group
 
@@ -34,15 +34,16 @@ def _props_task(g: Graph) -> DatasetRow:
     return build_dataset_row(g, structure_profile(g), automorphism_group(g))
 
 
-def _qaoa_task(args: tuple[Graph, int, int, int, float]) -> list[QaoaResultRow]:
-    g, pmax, starts, seed, delta_eps = args
+def _qaoa_task(args: tuple[Graph, int, int, int]) -> list[QaoaResultRow]:
+    g, pmax, starts, seed = args
     mc = maxcut_bruteforce(g)
-    outcomes = run_depth_series(g, pmax, starts=starts, seed=seed, delta_eps=delta_eps, mc=mc)
+    outcomes = run_depth_series(g, pmax, starts=starts, seed=seed, mc=mc)
     return [QaoaResultRow.from_outcome(g, mc, o, starts, seed) for o in outcomes]
 
 
 def _run(task, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs))  # a pool starts all its processes up front
+    if workers <= 1:
         return [task(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor  # with multiprocessing, only a pool needs it
 
@@ -57,11 +58,10 @@ def dataset_rows(graphs: list[Graph], workers: int | None = None) -> list[Datase
 
 
 def qaoa_result_rows(graphs: list[Graph], pmax: int, starts: int, seed: int,
-                     workers: int | None = None,
-                     delta_eps: float = DELTA_EPS) -> list[QaoaResultRow]:
+                     workers: int | None = None) -> list[QaoaResultRow]:
     """Depth 0..pmax QAOA rows for a batch of graphs (sorted by id, then p)."""
     for g in graphs:  # fail before dispatching any work
         _require_edges(g)
-    jobs = [(g, pmax, starts, seed, delta_eps) for g in graphs]
+    jobs = [(g, pmax, starts, seed) for g in graphs]
     nested = _run(_qaoa_task, jobs, resolve_workers(workers))
     return sorted((row for rows in nested for row in rows), key=lambda r: (r.graph_id, r.p))

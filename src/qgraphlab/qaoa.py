@@ -68,7 +68,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 MAX_SIM_N = 16
 SUPPORTED_DEPTHS = (1, 2, 3)
-DELTA_EPS = 1e-9  # default: a remaining gap below this makes the delta ratio undefined
+DELTA_EPS = 1e-9  # a remaining gap below this makes the delta ratio undefined
 DEFAULT_STARTS = 200
 MAX_ITER = 500
 OBJECTIVE_TOL = 1e-8
@@ -577,13 +577,12 @@ def _grid_scan(objective: _Objective) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def metrics_bundle(g: Graph, mc: MaxCutSummary, outcomes,
-                   delta_eps: float = DELTA_EPS) -> list[QaoaOutcome]:
+def metrics_bundle(g: Graph, mc: MaxCutSummary, outcomes) -> list[QaoaOutcome]:
     """Fill the delta ratio across a p = 0..P outcome sequence.
 
     delta at p is the fraction of the remaining gap closed by the p-th
     layer; it is undefined (None) at p = 0 and whenever the previous level
-    already sits within delta_eps of the optimum.
+    already sits within DELTA_EPS of the optimum.
     """
     filled = []
     for i, outcome in enumerate(outcomes):
@@ -593,13 +592,12 @@ def metrics_bundle(g: Graph, mc: MaxCutSummary, outcomes,
         delta = None
         if i:
             gap = mc.cmax - filled[-1].exp_c
-            delta = None if gap < delta_eps else (outcome.exp_c - filled[-1].exp_c) / gap
+            delta = None if gap < DELTA_EPS else (outcome.exp_c - filled[-1].exp_c) / gap
         filled.append(replace(outcome, delta_ratio=delta))
     return filled
 
 
 def run_depth_series(g: Graph, pmax: int, starts: int = DEFAULT_STARTS, seed: int = 0,
-                     delta_eps: float = DELTA_EPS,
                      mc: MaxCutSummary | None = None) -> list[QaoaOutcome]:
     """Optimize depths 1..pmax (plus the depth-0 row) with warm starts.
 
@@ -615,4 +613,4 @@ def run_depth_series(g: Graph, pmax: int, starts: int = DEFAULT_STARTS, seed: in
         prev = outcomes[-1].best_angles
         warm = np.concatenate([prev.gammas, (0.0,), prev.betas, (0.0,)])
         outcomes.append(optimize_angles(g, p, starts, seed, extra_starts=(warm,), mc=mc))
-    return metrics_bundle(g, mc, outcomes, delta_eps)
+    return metrics_bundle(g, mc, outcomes)

@@ -29,7 +29,7 @@ from .datastore import build_dataset_row
 from .graphs import (Graph, complete_bipartite, complete_graph, connected_graph_count,
                      cycle_graph, enumerate_connected, relabel)
 from .pipeline import dataset_rows, qaoa_result_rows
-from .qaoa import (DELTA_EPS, AngleVector, evolve, expectation, grid_scan_p1,
+from .qaoa import (DEFAULT_STARTS, AngleVector, evolve, expectation, grid_scan_p1,
                    maxcut_bruteforce, prob_cmax, run_depth_series, uniform_outcome)
 from .structure import cut_vertices_by_deletion, structure_profile
 from .symmetry import automorphism_group
@@ -170,9 +170,9 @@ def _uniform_outcomes(n: int):
     return _UNIFORM_CACHE[n]
 
 
-def _optimized_outcomes(n: int, pmax: int, starts: int, seed: int, workers, delta_eps: float):
-    rows = qaoa_result_rows(enumerate_connected(n), pmax, starts, seed, workers, delta_eps)
-    return [r.as_outcome() for r in rows]
+def _optimized_rows(n: int, pmax: int, workers):
+    """Rows of every n-vertex class at the only settings the reference values hold for."""
+    return qaoa_result_rows(enumerate_connected(n), pmax, DEFAULT_STARTS, 0, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +259,11 @@ def _mean_cells(row) -> tuple[float, float, float, float]:
     return (row.mean_prob, row.mean_exp_c, row.mean_ratio, row.mean_delta)
 
 
-def check_optimized_group_means(starts: int = 200, seed: int = 0, workers=None,
-                                delta_eps: float = DELTA_EPS) -> CheckResult:
+def check_optimized_group_means(workers=None) -> CheckResult:
     tol = 5e-3
     needed = {(n, max(p for f, nn, p in GOLDEN_GROUP_MEANS if nn == n))
               for f, n, p in GOLDEN_GROUP_MEANS}
-    outcomes = {n: _optimized_outcomes(n, pmax, starts, seed, workers, delta_eps)
-                for n, pmax in sorted(needed)}
+    outcomes = {n: _optimized_rows(n, pmax, workers) for n, pmax in sorted(needed)}
     problems = []
     for (flag, n, p), (want_member, want_non) in sorted(GOLDEN_GROUP_MEANS.items()):
         member, non = group_averages(_rows(n, workers), outcomes[n], n, p, flag)
@@ -279,16 +277,15 @@ def check_optimized_group_means(starts: int = 200, seed: int = 0, workers=None,
                     problems.append(f"{flag} {n}:{p} {row.polarity} {name}: "
                                     f"{got if got is None else f'{got:.4f}'} != {want}")
     detail = "; ".join(problems) if problems else \
-        f"subgroup means for {len(GOLDEN_GROUP_MEANS)} rows within 5e-3 (starts={starts})"
+        f"subgroup means for {len(GOLDEN_GROUP_MEANS)} rows within 5e-3 (starts={DEFAULT_STARTS})"
     return CheckResult("golden/optimized-group-means", not problems, detail)
 
 
-def check_correlation_grids(starts: int = 200, seed: int = 0, workers=None,
-                            delta_eps: float = DELTA_EPS) -> CheckResult:
+def check_correlation_grids(workers=None) -> CheckResult:
     """Full n <= 6, p <= 2 correlation grids within 2e-2 per cell (long-running)."""
     tol = 2e-2
     sizes = sorted({n for _, n, _ in GOLDEN_CORR_ROWS})
-    outcomes = {n: _optimized_outcomes(n, 2, starts, seed, workers, delta_eps) for n in sizes}
+    outcomes = {n: _optimized_rows(n, 2, workers) for n in sizes}
     problems = []
     checked = 0
     for (metric, n, p), wants in sorted(GOLDEN_CORR_ROWS.items()):
@@ -306,10 +303,9 @@ def check_correlation_grids(starts: int = 200, seed: int = 0, workers=None,
     return CheckResult("golden/correlation-grids", not problems, detail)
 
 
-def check_sign_grid(starts: int = 200, seed: int = 0, workers=None,
-                    delta_eps: float = DELTA_EPS) -> CheckResult:
+def check_sign_grid(workers=None) -> CheckResult:
     """n = 8 averaged-correlation sign grid (multi-hour)."""
-    outcomes = _optimized_outcomes(8, 3, starts, seed, workers, delta_eps)
+    outcomes = _optimized_rows(8, 3, workers)
     cells = []
     for p in (1, 2, 3):
         cells.extend(correlation_table(_rows(8, workers=workers), outcomes, 8, p))
@@ -326,16 +322,15 @@ def check_sign_grid(starts: int = 200, seed: int = 0, workers=None,
 
 
 def golden_suite(include_slow: bool = False, include_huge: bool = False,
-                 **settings) -> list[CheckResult]:
-    """settings (starts, seed, workers, delta_eps) reach the optimized checks only."""
+                 workers=None) -> list[CheckResult]:
     results = [check_counts(), check_uniform_means()]
     results.extend(check_uniform_correlations())
     results.append(check_distance_regular_probabilities())
-    results.append(check_optimized_group_means(**settings))
+    results.append(check_optimized_group_means(workers))
     if include_slow:
-        results.append(check_correlation_grids(**settings))
+        results.append(check_correlation_grids(workers))
     if include_huge:
-        results.append(check_sign_grid(**settings))
+        results.append(check_sign_grid(workers))
     return results
 
 

@@ -47,15 +47,15 @@ class TestGoldenSuite:
         _report(verify.check_distance_regular_probabilities())
 
     def test_5_optimized_group_means(self):
-        _report(verify.check_optimized_group_means(starts=200, seed=0, workers=2))
+        _report(verify.check_optimized_group_means(workers=2))
 
     @pytest.mark.slow
     def test_6_correlation_grids(self):
-        _report(verify.check_correlation_grids(starts=200, seed=0, workers=2))
+        _report(verify.check_correlation_grids(workers=2))
 
     @pytest.mark.huge
     def test_6_sign_grid(self):
-        _report(verify.check_sign_grid(starts=200, seed=0, workers=2))
+        _report(verify.check_sign_grid(workers=2))
 
 
 class TestInvariantSuite:

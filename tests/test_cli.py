@@ -6,7 +6,9 @@ import pytest
 from qgraphlab import verify
 from qgraphlab.cli import main
 from qgraphlab.datastore import read_dataset, read_qaoa_results
-from qgraphlab.pipeline import resolve_workers
+from qgraphlab.graphs import enumerate_connected
+from qgraphlab.pipeline import dataset_rows, qaoa_result_rows, resolve_workers
+from qgraphlab.qaoa import DEFAULT_STARTS
 
 
 @pytest.fixture()
@@ -164,6 +166,18 @@ class TestExitCodes:
         code = main(["props", "--in", str(bad), "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("data, message", [
+        (b"C~\nCr\nC~~\n", "3: oversized graph6 record: 2 data bytes, expected 1"),
+        (b"C~\nCr\xc3\xa9\n", "2: byte 195 outside printable graph6 range"),
+        (b"C~\n\nCr\xa0\n", "3: byte 160 outside printable graph6 range"),
+    ], ids=["oversized", "utf8-letter", "trailing-nbsp"])
+    def test_graph6_error_names_file_and_line(self, tmp_path, capsys, data, message):
+        # the line number counts blank lines; a non-ASCII byte is never whitespace
+        bad = tmp_path / "bad.g6"
+        bad.write_bytes(data)
+        assert main(["props", "--in", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"{bad}:{message}" in capsys.readouterr().err
+
     def test_disconnected_record_is_2(self, tmp_path, capsys):
         # record 2 has one edge and an isolated vertex
         g6 = tmp_path / "split.g6"
@@ -232,28 +246,6 @@ class TestExitCodes:
         rows = read_qaoa_results(str(out))
         assert rows[0].starts == 4 and rows[0].seed == 11
 
-    def test_config_delta_eps_applied(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("delta_eps=0.5\nworkers=1\n")
-        g6 = tmp_path / "n4.g6"
-        out = tmp_path / "q.csv"
-        assert main(["graphs", "gen", "--n", "4", "--out", str(g6)]) == 0
-        assert main(["qaoa", "--config", str(cfg), "--in", str(g6), "--p", "2",
-                     "--starts", "8", "--seed", "3", "--out", str(out)]) == 0
-        rows = {(r.graph_id, r.p): r for r in read_qaoa_results(str(out))}
-        gaps = []
-        for (graph_id, p), row in rows.items():
-            if p:
-                gap = row.cmax - rows[graph_id, p - 1].exp_c
-                gaps.append(gap)
-                assert (row.delta_ratio is None) == (gap < 0.5)
-        # some previous-depth gap lies between the default 1e-9 and 0.5, so
-        # the configured value, not the default, decides those cells
-        assert any(1e-9 <= gap < 0.5 for gap in gaps)
-
-
-SETTINGS = ("starts", "seed", "workers", "delta_eps")
-
 
 class TestSettings:
     """Run settings resolve once: RunConfig defaults, then --config, then flags."""
@@ -264,7 +256,7 @@ class TestSettings:
 
         def stub(name):
             def suite(*args, **kwargs):
-                calls[name] = {key: kwargs.get(key) for key in SETTINGS}
+                calls[name] = kwargs
                 return []
             return suite
 
@@ -274,20 +266,36 @@ class TestSettings:
 
     def test_verify_reads_config_and_flags(self, tmp_path, suites):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("starts=3\nseed=5\nworkers=1\ndelta_eps=0.5\n")
-        assert main(["verify", "golden", "--config", str(cfg)]) == 0
-        assert suites["golden"] == {"starts": 3, "seed": 5, "workers": 1, "delta_eps": 0.5}
-        workers_only = tmp_path / "workers.cfg"
-        workers_only.write_text("workers=1\n")
-        assert main(["verify", "invariants", "--config", str(workers_only)]) == 0
-        assert suites["invariants"]["workers"] == 1
-        assert main(["verify", "golden", "--config", str(cfg), "--seed", "9"]) == 0
-        assert suites["golden"] == {"starts": 3, "seed": 9, "workers": 1, "delta_eps": 0.5}
+        cfg.write_text("workers=1\n")
+        for suite in ("golden", "invariants"):
+            assert main(["verify", suite, "--config", str(cfg)]) == 0
+            assert suites[suite] == {"workers": 1}
+            assert main(["verify", suite, "--config", str(cfg), "--workers", "3"]) == 0
+            assert suites[suite] == {"workers": 3}
 
     def test_verify_rejects_bad_flag_before_running(self, suites, capsys):
-        assert main(["verify", "golden", "--starts", "0"]) == 2
+        assert main(["verify", "golden", "--workers", "-1"]) == 2
         assert "golden" not in suites
-        assert "starts" in capsys.readouterr().err
+        assert "workers" in capsys.readouterr().err
+
+    def test_golden_runs_at_study_settings(self, monkeypatch):
+        # the reference values hold for 200 starts and seed 0 only
+        calls = []
+
+        class Stop(Exception):
+            pass
+
+        def record(graphs, pmax, starts, seed, workers):
+            calls.append((starts, seed, workers))
+            raise Stop
+
+        monkeypatch.setattr(verify, "enumerate_connected", lambda n: [])
+        monkeypatch.setattr(verify, "qaoa_result_rows", record)
+        for check in (verify.check_optimized_group_means, verify.check_correlation_grids,
+                      verify.check_sign_grid):
+            with pytest.raises(Stop):
+                check(workers=1)
+        assert calls == [(DEFAULT_STARTS, 0, 1)] * 3
 
     @pytest.mark.parametrize("flag, value", [("--starts", "0"), ("--seed", "-1")])
     def test_qaoa_rejects_bad_flag(self, tmp_path, capsys, flag, value):
@@ -306,8 +314,11 @@ class TestSettings:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [["verify", "invariants", "--starts", "3"],
+                                      ["verify", "golden", "--starts", "3"],
+                                      ["verify", "golden", "--seed", "3"],
                                       ["graphs", "count", "--n", "4", "--config", "run.cfg"]],
-                             ids=["invariants-starts", "graphs-config"])
+                             ids=["invariants-starts", "golden-starts", "golden-seed",
+                                  "graphs-config"])
     def test_unread_setting_rejected(self, suites, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -315,10 +326,11 @@ class TestSettings:
         assert not suites
 
     @pytest.mark.parametrize("command", [["props", "--in", "n4.g6", "--out", "p.csv"],
-                                         ["verify", "invariants"]], ids=["props", "invariants"])
+                                         ["verify", "invariants"], ["verify", "golden"]],
+                             ids=["props", "invariants", "golden"])
     @pytest.mark.parametrize("key", ["starts=3", "seed=7", "delta_eps=0.5"])
     def test_config_key_not_read_rejected(self, tmp_path, monkeypatch, capsys, suites, command, key):
-        # props and verify invariants read only workers
+        # props and the verify suites read only workers, and no command reads delta_eps
         monkeypatch.chdir(tmp_path)
         assert main(["graphs", "gen", "--n", "4", "--out", "n4.g6"]) == 0
         (tmp_path / "run.cfg").write_text(f"workers=1\n{key}\n")
@@ -331,7 +343,7 @@ class TestSettings:
     def test_config_all_keys_read_by_qaoa(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["graphs", "gen", "--n", "4", "--out", "n4.g6"]) == 0
-        (tmp_path / "run.cfg").write_text("starts=3\nseed=7\ndelta_eps=0.5\nworkers=1\n")
+        (tmp_path / "run.cfg").write_text("starts=3\nseed=7\nworkers=1\n")
         assert main(["qaoa", "--config", "run.cfg", "--in", "n4.g6", "--p", "1",
                      "--out", "q.csv"]) == 0
         rows = read_qaoa_results("q.csv")
@@ -350,6 +362,34 @@ class TestSettings:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert resolve_workers(0) == 1
+
+    def test_pool_capped_at_job_count(self, monkeypatch):
+        # a pool starts all its processes up front, so --workers 64 on two
+        # graphs must not fork 64
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        graphs = enumerate_connected(4)[:3]
+        assert dataset_rows(graphs[:2], workers=64) == dataset_rows(graphs[:2], workers=1)
+        serial = qaoa_result_rows(graphs, 1, 2, 0, workers=1)
+        assert qaoa_result_rows(graphs, 1, 2, 0, workers=64) == serial
+        assert qaoa_result_rows(graphs, 1, 2, 0, workers=2) == serial
+        assert sizes == [2, 3, 2]
 
 
 class TestFileBytes:

@@ -194,12 +194,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(starts=0)
 
-    def test_delta_eps_must_be_positive(self):
-        assert RunConfig(delta_eps=0.5).delta_eps == 0.5
-        for bad in (0.0, -1e-9, float("nan")):
-            with pytest.raises(ValueError, match="delta_eps"):
-                RunConfig(delta_eps=bad)
-
     def test_load(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# pipeline settings\nstarts = 50\nseed=9\nworkers=2\n")
@@ -214,11 +208,14 @@ class TestRunConfig:
             load_config(str(path))
 
     def test_removed_key_rejected(self, tmp_path):
-        # n_min, n_max, p_max and out_dir were once accepted and never read
+        # n_min, n_max, p_max and out_dir were once accepted and never read;
+        # delta_eps had one value in use and is the constant qaoa.DELTA_EPS
         path = tmp_path / "run.cfg"
-        path.write_text("n_min=4\n")
-        with pytest.raises(ValueError, match="unknown config key 'n_min'"):
-            load_config(str(path))
+        for line in ("n_min=4", "delta_eps=0.5"):
+            path.write_text(f"{line}\n")
+            key = line.partition("=")[0]
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                load_config(str(path))
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -232,7 +229,6 @@ class TestRunConfig:
             ("starts 50\n", "run.cfg:1: expected key=value"),
             ("workers=1\nstarts=abc\n", "run.cfg:2: config key 'starts' expects int, got 'abc'"),
             ("seed=1.5\n", "run.cfg:1: config key 'seed' expects int, got '1.5'"),
-            ("delta_eps=tiny\n", "run.cfg:1: config key 'delta_eps' expects float, got 'tiny'"),
         ]:
             path.write_text(text)
             with pytest.raises(ValueError, match=re.escape(message)):
