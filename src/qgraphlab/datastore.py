@@ -9,7 +9,8 @@ fields are serialized as plain text:
 * cut vertices and degree sequences: space-separated integers
 * permutations: "(0 2 1 3)" image lists, multiple joined by ";"
 * orbits: each orbit space-separated, orbits joined by ";"
-* cycle basis: each cycle "u-v u-v ...", cycles joined by ";"
+* cycle basis: each cycle "u-v u-v ...", cycles joined by ";"; a read
+  edge u < v is graphs.EDGE's shared tuple
 
 Real numbers are written with 12 significant digits; an empty cell is an
 undefined value.  A record whose cell count differs from the header's is
@@ -23,7 +24,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .analysis import GroupAverageRow
-from .graphs import Graph, encode_graph6
+from .graphs import EDGE, MAX_VERTICES, Graph, encode_graph6
 from .qaoa import AngleVector, OptimizerStats, QaoaOutcome
 
 __all__ = [
@@ -193,6 +194,18 @@ def _seq(sep: str, inner=_INT, wrap: str = ""):
     return to_text, from_text
 
 
+_PAIR = _seq("-")
+
+
+def _edge_from_text(text: str) -> tuple:
+    """A "u-v" cell part read as _seq("-") reads it; an in-range u < v pair
+    becomes EDGE's shared tuple, and any other value stays as read."""
+    pair = _PAIR[1](text)
+    if len(pair) == 2 and 0 <= pair[0] < pair[1] < MAX_VERTICES:
+        return EDGE[pair[0]][pair[1]]
+    return pair
+
+
 # Codec of every field that is not a plain int; a numbered field's codec
 # is that of one element.
 _CODECS = {
@@ -202,7 +215,7 @@ _CODECS = {
     "distance_regular_strict": _BOOL,
     "eulerian": _BOOL,
     "cut_vertices": _seq(" "),
-    "cycle_basis": _seq(";", _seq(" ", _seq("-"))),
+    "cycle_basis": _seq(";", _seq(" ", (_PAIR[0], _edge_from_text))),
     "degree_sequence": _seq(" "),
     "automorphism_generators": _seq(";", _seq(" ", wrap="()")),
     "orbits": _seq(";", _seq(" ")),

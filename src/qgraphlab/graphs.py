@@ -3,7 +3,9 @@ exhaustive enumeration of connected non-isomorphic graphs.
 
 Vertices are integers 0..n-1 and every graph stores, per vertex, the
 bitmask of its neighbors.  Graphs are immutable and hashable, so they can
-be shared freely across worker processes.
+be shared freely across worker processes.  An edge is a (u, v) tuple with
+u < v, and every edge list hands out the one shared tuple of EDGE per
+vertex pair, so a dataset's many edge lists hold no copies.
 """
 
 from __future__ import annotations
@@ -33,6 +35,19 @@ __all__ = [
 
 MAX_VERTICES = 16  # single size byte in graph6; study scope is n <= 8
 _BLANK = " \t\n\r\v\f"  # the whitespace around a graph6 record; any other byte is malformed
+
+
+def _edge_table() -> tuple[tuple[tuple[int, int] | None, ...], ...]:
+    table = [[None] * MAX_VERTICES for _ in range(MAX_VERTICES)]
+    for v in range(MAX_VERTICES):
+        for u in range(v):
+            table[u][v] = table[v][u] = (u, v)
+    return tuple(map(tuple, table))
+
+
+# EDGE[a][b] is the one shared (min(a, b), max(a, b)) tuple of the pair, in
+# either order; the diagonal is None.
+EDGE = _edge_table()
 
 
 class Graph6Error(ValueError):
@@ -84,12 +99,8 @@ class Graph:
         return tuple(row.bit_count() for row in self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
-        """Edges as (u, v) pairs with u < v, sorted."""
-        out = []
-        for v in range(self.n):
-            for u in _bits(self.adj[v] & ((1 << v) - 1)):
-                out.append((u, v))
-        return sorted(out)
+        """Edges as EDGE's (u, v) tuples with u < v, sorted."""
+        return [EDGE[u][v] for u in range(self.n) for v in _bits(self.adj[u] >> u + 1 << u + 1)]
 
     @property
     def edge_count(self) -> int:

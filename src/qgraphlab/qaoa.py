@@ -412,6 +412,13 @@ def _start_key(form: str) -> int:
     return int.from_bytes(_sha256()(form.encode("ascii")).digest()[:8], "big")
 
 
+@functools.lru_cache(maxsize=1)
+def _graph_key(g: Graph) -> int:
+    """g's start key; the last graph's is kept, so the depths of one
+    run_depth_series search for its canonical form once."""
+    return _start_key(canonical_form(g))
+
+
 # Seeded starts.  Row idx of _start_points is what
 # np.random.default_rng([seed, digest, idx]).random(d) draws, rebuilt from
 # the algorithms that call defines, for all rows at once:
@@ -503,7 +510,7 @@ def _start_points(seed: int, digest: int, count: int, d: int) -> np.ndarray:
 
 def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
              stats: OptimizerStats) -> QaoaOutcome:
-    angles = AngleVector.from_flat(theta) if p else AngleVector((), ())
+    angles = AngleVector.from_flat(theta)
     sv = objective.states(angles.gammas, angles.betas)
     exp_c = min(float(objective.expectation(sv)), float(mc.cmax))
     prob = 2.0 * float((np.abs(sv[objective.cost == mc.cmax]) ** 2).sum())
@@ -512,10 +519,15 @@ def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
 
 
 def uniform_outcome(g: Graph, mc: MaxCutSummary | None = None) -> QaoaOutcome:
-    """Depth-0 metrics: the uniform superposition, no parameters."""
+    """Depth-0 metrics: the uniform superposition, no parameters.  They are
+    exact: each edge is cut in half the assignments, so <C> = |E|/2, and
+    every assignment has probability 2^-n."""
     _require_edges(g)
     mc = maxcut_bruteforce(g) if mc is None else mc
-    return _outcome(g, _Objective(g), mc, 0, None, OptimizerStats(0, -1, 0))
+    exp_c = g.edge_count / 2
+    return QaoaOutcome(graph_id=g.id, p=0, best_angles=AngleVector((), ()), exp_c=exp_c,
+                       prob_cmax=mc.optimal_count / 2 ** g.n, ratio=exp_c / mc.cmax,
+                       delta_ratio=None, optimizer_stats=OptimizerStats(0, -1, 0))
 
 
 def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 0,
@@ -534,7 +546,7 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
     _require_edges(g)
     mc = maxcut_bruteforce(g) if mc is None else mc
     objective = _Objective(g)
-    digest = _start_key(canonical_form(g))
+    digest = _graph_key(g)
     # uniform(0, hi) is 0 + hi * random(), so one draw of 2p doubles gives the
     # gammas in [0, 2pi) and then the betas in [0, pi)
     points = _start_points(seed, digest, starts, 2 * p) * np.repeat([TWO_PI, np.pi], p)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _bits, _graph_name, _layers, is_connected
+from .graphs import EDGE, Graph, _bits, _graph_name, _layers, is_connected
 
 __all__ = [
     "DisconnectedGraphError",
@@ -38,7 +38,8 @@ class StructureProfile:
     distance i - 1 and i + 1 from u depend only on i.
     cycle_counts maps cycle length k (3..n) to the number of simple cycles
     of that length; cycle_basis holds the fundamental cycles of the BFS
-    spanning tree rooted at vertex 0, each as a tuple of (u, v) edges.
+    spanning tree rooted at vertex 0, each as a tuple of graphs.EDGE's
+    shared (u, v) edges.
     """
 
     edges: int
@@ -256,13 +257,14 @@ def _cycle_basis(g: Graph, depth: list[int]) -> tuple[tuple[tuple[int, int], ...
 
     The basis has one cycle per non-tree edge of the BFS spanning tree
     rooted at vertex 0 (neighbors visited in ascending order); each cycle
-    is the tuple of its edges, normalized to (min, max) pairs, ordered
-    along the traversal from one endpoint of the non-tree edge to the
-    other.  depth[v] is v's distance from vertex 0.
+    is the tuple of its edges, normalized to EDGE's (min, max) pairs,
+    ordered along the traversal from one endpoint of the non-tree edge to
+    the other.  depth[v] is v's distance from vertex 0.
     """
     parent = _bfs_tree(g)
     basis = []
-    for u, v in g.edges():
+    for edge in g.edges():
+        u, v = edge
         if parent[u] == v or parent[v] == u:
             continue  # a tree edge
         up, vp = [u], [v]
@@ -272,7 +274,5 @@ def _cycle_basis(g: Graph, depth: list[int]) -> tuple[tuple[tuple[int, int], ...
             else:
                 vp.append(parent[vp[-1]])
         path = up + vp[-2::-1]
-        edges = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
-        edges.append((min(u, v), max(u, v)))
-        basis.append(tuple(edges))
+        basis.append(tuple([EDGE[a][b] for a, b in zip(path, path[1:])] + [edge]))
     return tuple(basis)

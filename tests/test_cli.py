@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 
@@ -226,6 +227,20 @@ class TestExitCodes:
         assert main(["analyze", "corr", "--props", props, "--qaoa", qaoa,
                      "--out", str(tmp / "c.csv")]) == 2
         assert f"{path}:{lineno}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("endpoint", ["x", "1.5", ""])
+    def test_non_integer_cycle_endpoint_is_2(self, n4_run, capsys, endpoint):
+        tmp, _, props, qaoa = n4_run
+        with open(props, newline="") as fh:
+            records = list(csv.reader(fh))
+        column = records[0].index("cycle_basis")
+        row = next(r for r in records[1:] if r[column])
+        row[column] = endpoint + row[column][row[column].index("-"):]
+        with open(props, "w", newline="") as fh:
+            csv.writer(fh).writerows(records)
+        assert main(["analyze", "corr", "--props", props, "--qaoa", qaoa,
+                     "--out", str(tmp / "c.csv")]) == 2
+        assert "invalid literal for int()" in capsys.readouterr().err
 
     def test_negative_workers_is_2(self, tmp_path, capsys):
         g6 = tmp_path / "n4.g6"

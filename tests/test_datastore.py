@@ -9,7 +9,7 @@ from qgraphlab.datastore import (DatasetRow, QaoaResultRow, RunConfig, SchemaErr
                                  build_dataset_row, load_config, read_dataset,
                                  read_qaoa_results, write_dataset_file, write_qaoa_results,
                                  fmt_real)
-from qgraphlab.graphs import enumerate_connected
+from qgraphlab.graphs import EDGE, enumerate_connected
 from qgraphlab.qaoa import maxcut_bruteforce, run_depth_series
 from qgraphlab.structure import structure_profile
 from qgraphlab.symmetry import automorphism_group
@@ -95,6 +95,37 @@ class TestDatasetRoundTrip:
         target = tmp_path_factory.mktemp("ds") / "rows.csv"
         write_dataset_file(rows, str(target))
         assert read_dataset(str(target)) == rows
+
+
+class TestSharedEdges:
+    """Every edge tuple is graphs.EDGE's one tuple of its vertex pair."""
+
+    @staticmethod
+    def assert_shared(edges):
+        for edge in edges:
+            assert edge is EDGE[edge[0]][edge[1]], edge
+
+    def test_every_layer_hands_out_shared_tuples(self, tmp_path):
+        for n in range(3, 7):
+            graphs = enumerate_connected(n)
+            rows = rows_for(n)
+            for g in graphs:
+                self.assert_shared(g.edges())
+                for cycle in structure_profile(g).cycle_basis:
+                    self.assert_shared(cycle)
+            target = str(tmp_path / f"graphs_n{n}.csv")
+            write_dataset_file(rows, target)
+            back = read_dataset(target)
+            assert back == rows
+            for row in back:
+                for cycle in row.cycle_basis:
+                    self.assert_shared(cycle)
+
+    def test_table(self):
+        for v in range(len(EDGE)):
+            assert EDGE[v][v] is None
+            for u in range(v):
+                assert EDGE[u][v] == (u, v) and EDGE[v][u] is EDGE[u][v]
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -493,6 +494,20 @@ class TestOptimization:
             assert 0 <= out.prob_cmax <= 1
 
 
+class TestUniformOutcome:
+    def test_exact_for_every_class_up_to_n7(self):
+        # <C> = |E|/2, P(C_max) = optimal_count/2^n and their ratio, each the
+        # correctly rounded float of the exact fraction
+        for n in range(3, 8):
+            for g in enumerate_connected(n):
+                cmax, count = brute_force_maxcut(g)
+                got = uniform_outcome(g)
+                assert got.exp_c == float(Fraction(g.edge_count, 2)), g.id
+                assert got.prob_cmax == float(Fraction(count, 2 ** n)), g.id
+                assert got.ratio == float(Fraction(g.edge_count, 2 * cmax)), g.id
+                assert got.p == 0 and got.best_angles.p == 0 and got.delta_ratio is None
+
+
 class TestMetricsBundle:
     def test_c4_series(self):
         series = run_depth_series(cycle_graph(4), 3, starts=30, seed=2)
@@ -515,6 +530,19 @@ class TestMetricsBundle:
         out1 = optimize_angles(g, 1, starts=3, seed=0)
         with pytest.raises(ValueError, match="consecutive"):
             metrics_bundle(g, mc, [out1])
+
+    def test_one_canonical_search_per_series(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(qaoa, "canonical_form", counting)
+        qaoa._graph_key.cache_clear()
+        g = enumerate_connected(5)[7]
+        series = run_depth_series(g, 3, starts=4, seed=0)
+        assert len(calls) == 1 and len(series) == 4
 
     def test_delta_zero_when_no_progress(self):
         from dataclasses import replace
