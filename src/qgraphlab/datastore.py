@@ -388,7 +388,7 @@ def load_config(path: str, reads=None) -> RunConfig:
     """Parse a flat key=value config file (blank lines and # comments skipped).
     `reads`, when given, names the keys the caller reads; any other key is an error."""
     types = {f.name: type(f.default) for f in fields(RunConfig)}
-    values = {}
+    values, first = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -398,6 +398,9 @@ def load_config(path: str, reads=None) -> RunConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {first[key]}")
+            first[key] = lineno
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if reads is not None and key not in reads:

@@ -85,6 +85,13 @@ class MaxCutSummary:
     optimal_mask: np.ndarray  # bool, length 2**n
 
 
+def _wrap(x: float, period: float) -> float:
+    """x reduced into [0, period): a float just below a multiple of the period
+    rounds up to the period itself under %, and that is the angle 0."""
+    r = float(x) % period
+    return 0.0 if r == period else r
+
+
 @dataclass(frozen=True)
 class AngleVector:
     """Depth-p angle set, reduced to gamma in [0, 2pi) and beta in [0, pi)."""
@@ -95,8 +102,8 @@ class AngleVector:
     def __post_init__(self):
         if len(self.gammas) != len(self.betas):
             raise ValueError("gammas and betas must have the same length")
-        object.__setattr__(self, "gammas", tuple(float(x) % TWO_PI for x in self.gammas))
-        object.__setattr__(self, "betas", tuple(float(x) % np.pi for x in self.betas))
+        object.__setattr__(self, "gammas", tuple(_wrap(x, TWO_PI) for x in self.gammas))
+        object.__setattr__(self, "betas", tuple(_wrap(x, np.pi) for x in self.betas))
 
     @property
     def p(self) -> int:

@@ -2,7 +2,8 @@
 bipartite/Eulerian flags, distance regularity, and the simple-cycle census.
 
 `structure_profile` is the one entry point: it checks connectivity once and
-derives every flag from one all-pairs distance matrix and one cycle count.
+derives every flag from the breadth-first layers of each vertex, one BFS
+spanning tree and one cycle count.
 Graphs are the bitmask graphs of :mod:`qgraphlab.graphs`, and every function
 is pure, so per-graph invocations can run concurrently.
 """
@@ -10,8 +11,6 @@ is pure, so per-graph invocations can run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graphs import EDGE, Graph, _bits, _graph_name, _layers, is_connected
 
@@ -62,26 +61,27 @@ def structure_profile(g: Graph) -> StructureProfile:
     if not is_connected(g):
         raise DisconnectedGraphError(f"{_graph_name(g)} is not connected; structure properties "
                                      f"are defined for connected graphs only")
-    levels = [_bfs_levels(g, v) for v in range(g.n)]
-    dm, depth = np.array(levels, dtype=np.int64), levels[0]
+    full = (1 << g.n) - 1
+    layers = [list(_layers(g.adj, 1 << s, full)) for s in range(g.n)]  # [s][d]: distance d from s
+    parent, depth = _bfs_tree(g)
     counts = _count_simple_cycles(g)
-    degree_regular = _distance_degree_regular(dm)
+    degree_regular = len({tuple(map(int.bit_count, row)) for row in layers}) == 1
     cuts = _cut_vertices(g)
     return StructureProfile(
         edges=g.edge_count,
-        diameter=int(dm.max()),
-        clique_number=_clique_number(g),
+        diameter=max(map(len, layers)) - 1,
+        clique_number=_clique_number(g.adj, full, 0, 0),
         # edges outside a BFS layer join consecutive layers, so coloring the
         # layers alternately 2-colors g; an edge inside a layer closes an odd cycle
         bipartite=all(depth[u] != depth[v] for u, v in g.edges()),
         eulerian=all(row.bit_count() % 2 == 0 for row in g.adj),  # g is connected
         distance_regular=degree_regular,
-        distance_regular_strict=degree_regular and _intersection_array_holds(g, dm),
+        distance_regular_strict=degree_regular and _intersection_array_holds(g.adj, layers),
         cut_vertices=cuts,
         cut_vertex_count=len(cuts),
         degree_sequence=tuple(sorted(g.degrees(), reverse=True)),
         cycle_counts=counts,
-        cycle_basis=_cycle_basis(g, depth),
+        cycle_basis=_cycle_basis(g, parent, depth),
         min_odd_cycle_count=next((c for k, c in counts.items() if k % 2 and c), 0),
     )
 
@@ -91,41 +91,17 @@ def structure_profile(g: Graph) -> StructureProfile:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_levels(g: Graph, source: int) -> list[int]:
-    """Distance from source to every vertex (-1 where unreachable): layer d is distance d."""
-    dist = [-1] * g.n
-    for d, layer in enumerate(_layers(g.adj, 1 << source, (1 << g.n) - 1)):
-        for v in _bits(layer):
-            dist[v] = d
-    return dist
-
-
-def _distance_degree_regular(dm: np.ndarray) -> bool:
-    """Every vertex has the same number of vertices at each distance."""
-    d = int(dm.max())
-    hist = np.stack([np.bincount(row, minlength=d + 1) for row in dm])
-    return not (hist != hist[0]).any()
-
-
-def _intersection_array_holds(g: Graph, dm: np.ndarray) -> bool:
-    """b_i / c_i are the same for every pair at distance i, at every i."""
-    for i in range(int(dm.max()) + 1):
-        b = c = None
-        for u in range(g.n):
-            for v in range(g.n):
-                if dm[u, v] != i:
-                    continue
-                bv = cv = 0
-                for w in _bits(g.adj[v]):
-                    if dm[u, w] == i + 1:
-                        bv += 1
-                    elif dm[u, w] == i - 1:
-                        cv += 1
-                if b is None:
-                    b, c = bv, cv
-                elif (bv, cv) != (b, c):
-                    return False
-    return True
+def _intersection_array_holds(adj: tuple[int, ...], layers: list[list[int]]) -> bool:
+    """b_i / c_i are the same for every pair at distance i, at every i: for v
+    in layer i from u, c_i and b_i count v's neighbors in layers i - 1 and i + 1."""
+    arrays = set()
+    for row in layers:
+        padded = (0, *row, 0)
+        for i, layer in enumerate(row):
+            for v in _bits(layer):
+                below, above = adj[v] & padded[i], adj[v] & padded[i + 2]
+                arrays.add((i, below.bit_count(), above.bit_count()))
+    return len(arrays) == max(map(len, layers))  # every distance i occurs, so one (b_i, c_i) each
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +109,14 @@ def _intersection_array_holds(g: Graph, dm: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _clique_number(g: Graph) -> int:
-    """Size of the largest complete subgraph (branch and bound on bitmasks)."""
-    best = 0
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(size + 1, cand & g.adj[v])
-
-    expand(0, (1 << g.n) - 1)
-    expand = None  # break the closure's reference to itself: no garbage left for the cyclic GC
+def _clique_number(adj: tuple[int, ...], cand: int, size: int, best: int) -> int:
+    """Size of the largest complete subgraph (branch and bound on bitmasks):
+    the best of `best` and of a clique of `size` vertices grown from `cand`."""
+    best = max(best, size)
+    while cand and size + cand.bit_count() > best:
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        best = _clique_number(adj, cand & adj[v], size + 1, best)
     return best
 
 
@@ -234,34 +201,30 @@ def _count_simple_cycles(g: Graph) -> dict[int, int]:
     return counts
 
 
-def _bfs_tree(g: Graph) -> list[int]:
-    """Parents of the BFS spanning tree rooted at 0, neighbors in ascending order."""
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in _bits(g.adj[v]):
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                queue.append(w)
-    return parent
+def _bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Parents and depths of the BFS spanning tree rooted at 0: each vertex
+    hangs from the first vertex in queue order adjacent to it."""
+    parent, depth = [-1] * g.n, [0] * g.n
+    order, seen = [0], 1
+    for v in order:  # the loop reaches the vertices it appends
+        new = g.adj[v] & ~seen
+        seen |= new
+        for w in _bits(new):
+            parent[w], depth[w] = v, depth[v] + 1
+            order.append(w)
+    return parent, depth
 
 
-def _cycle_basis(g: Graph, depth: list[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _cycle_basis(g: Graph, parent: list[int],
+                 depth: list[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The fundamental cycle basis of a connected graph.
 
     The basis has one cycle per non-tree edge of the BFS spanning tree
     rooted at vertex 0 (neighbors visited in ascending order); each cycle
     is the tuple of its edges, normalized to EDGE's (min, max) pairs,
     ordered along the traversal from one endpoint of the non-tree edge to
-    the other.  depth[v] is v's distance from vertex 0.
+    the other.  parent and depth are the tree's, from _bfs_tree.
     """
-    parent = _bfs_tree(g)
     basis = []
     for edge in g.edges():
         u, v = edge

@@ -355,6 +355,15 @@ class TestSettings:
         (tmp_path / "run.cfg").write_text("workers=1\n")
         assert main(command + ["--config", "run.cfg"]) == 0
 
+    def test_config_repeated_key_is_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["graphs", "gen", "--n", "4", "--out", "n4.g6"]) == 0
+        (tmp_path / "run.cfg").write_text("starts=3\nworkers=1\nstarts=5\n")
+        assert main(["qaoa", "--config", "run.cfg", "--in", "n4.g6", "--p", "1",
+                     "--out", "q.csv"]) == 2
+        assert "run.cfg:3: config key 'starts' repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "q.csv").exists()
+
     def test_config_all_keys_read_by_qaoa(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["graphs", "gen", "--n", "4", "--out", "n4.g6"]) == 0

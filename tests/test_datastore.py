@@ -254,6 +254,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(path))
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("starts=3\nseed=1\n\nstarts=5\n")
+        with pytest.raises(ValueError, match=re.escape("run.cfg:4: config key 'starts' repeats line 1")):
+            load_config(str(path))
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         for text, message in [

@@ -118,6 +118,18 @@ class TestAngleVector:
         assert ang.betas[0] == pytest.approx(0.25)
         assert ang.betas[1] == pytest.approx(np.pi - 0.25)
 
+    def test_reduction_never_reaches_the_period(self):
+        # -1e-17 % 2pi rounds up to 2pi itself, the angle 0
+        ang = AngleVector((-1e-17,), (-1e-18,))
+        assert ang.gammas == (0.0,) and ang.betas == (0.0,)
+
+    def test_star_depth_3_gamma_in_range(self):
+        # the star K1,4's seed-0 optimum at p = 3 has a gamma_3 that % rounds to 2pi
+        outcome = run_depth_series(decode_graph6("D?{"), 3, seed=0)[3]
+        assert outcome.best_angles.gammas[2] == 0.0
+        assert all(0 <= x < 2 * np.pi for x in outcome.best_angles.gammas)
+        assert all(0 <= x < np.pi for x in outcome.best_angles.betas)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             AngleVector((0.1,), ())

@@ -1,10 +1,11 @@
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import networkx as nx
 import pytest
 
+from qgraphlab import structure
 from qgraphlab.graphs import (Graph, complete_bipartite, complete_graph, cycle_graph,
                               enumerate_connected, path_graph, relabel, star_graph)
 from qgraphlab.structure import DisconnectedGraphError, cut_vertices_by_deletion, structure_profile
@@ -62,9 +63,23 @@ def brute_force_cycles(g):
     return counts
 
 
+NAMED = {  # name: (networkx graph, (distance_regular, distance_regular_strict))
+    "petersen": (nx.petersen_graph(), (True, True)),
+    "heawood": (nx.heawood_graph(), (True, True)),
+    "q3": (nx.hypercube_graph(3), (True, True)),
+    "q4": (nx.hypercube_graph(4), (True, True)),
+    "k44": (nx.complete_bipartite_graph(4, 4), (True, True)),
+    "rook4x4": (nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4)), (True, True)),
+    "prism5": (nx.circular_ladder_graph(5), (True, False)),
+    "mobius-kantor": (nx.LCF_graph(16, [5, -5], 8), (True, False)),
+    "c9": (nx.cycle_graph(9), (True, True)),
+}
+
+
 class TestDistances:
-    # the distance matrix is internal; diameter, both regularity flags and
-    # the bipartite flag are the fields derived from it
+    # the breadth-first layers from every vertex are internal; diameter and
+    # both regularity flags are derived from them, and the bipartite flag
+    # from the BFS tree's depths
     def test_complete_graph(self):
         p = structure_profile(complete_graph(4))
         assert (p.diameter, p.distance_regular, p.distance_regular_strict) == (1, True, True)
@@ -85,6 +100,19 @@ class TestDistances:
                 assert p.diameter == nx.diameter(G)
                 assert (p.distance_regular, p.distance_regular_strict) == distance_regular_flags(g)
                 assert p.bipartite == nx.is_bipartite(G)
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_graphs_beyond_the_study_sizes(self, name, monkeypatch):
+        # the 16-vertex graphs hold millions of simple cycles, and the fields
+        # checked here do not read the cycle census
+        monkeypatch.setattr(structure, "_count_simple_cycles", lambda g: {})
+        G, flags = NAMED[name]
+        G = nx.convert_node_labels_to_integers(G)
+        g = Graph.from_edges(G.number_of_nodes(), G.edges())
+        p = structure_profile(g)
+        assert (p.distance_regular, p.distance_regular_strict) == flags == distance_regular_flags(g)
+        assert p.diameter == nx.diameter(G)
+        assert p.bipartite == nx.is_bipartite(G)
 
     def test_disconnected_rejected(self):
         split = Graph.from_edges(4, [(0, 1), (2, 3)], id=7)
@@ -187,6 +215,20 @@ class TestDistanceRegular:
             structure_profile(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+def deque_bfs_tree(g):
+    """(parents, depths) of the BFS tree rooted at 0, neighbors queued in ascending order."""
+    parent, depth = [-1] * g.n, [0] * g.n
+    seen, queue = {0}, deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in range(g.n):
+            if g.has_edge(v, w) and w not in seen:
+                seen.add(w)
+                parent[w], depth[w] = v, depth[v] + 1
+                queue.append(w)
+    return parent, depth
+
+
 class TestCycleCensus:
     def test_c5(self):
         p = structure_profile(cycle_graph(5))
@@ -210,6 +252,20 @@ class TestCycleCensus:
     def test_basis_dimension(self):
         for g in enumerate_connected(6):
             assert len(structure_profile(g).cycle_basis) == g.edge_count - g.n + 1
+
+    def test_basis_follows_queue_order(self):
+        # layer 2 is queued as [4, 3], so vertex 5 hangs from 4, the first
+        # queued neighbor, not from 3, the smallest
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 4), (2, 3), (4, 5), (3, 5)])
+        assert structure_profile(g).cycle_basis == (((2, 3), (0, 2), (0, 1), (1, 4), (4, 5), (3, 5)),)
+
+    def test_tree_matches_deque_bfs(self):
+        rng = random.Random(3)
+        for g in enumerate_connected(6):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            assert structure._bfs_tree(h) == deque_bfs_tree(h)
 
     def test_basis_cycles_close(self):
         # every basis element is a closed walk: each vertex appears twice
