@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qaoa import SUPPORTED_DEPTHS
+
 __all__ = [
     "MissingDataError",
     "CorrelationCell",
@@ -197,7 +199,8 @@ def histogram(rows, outcomes, n: int, p: int, flag: str, metric: str = "prob_cma
 
 
 def sign_summary(cells) -> dict[tuple[str, str], str]:
-    """Symbol per (property, metric): the mean r over depths 1..3.
+    """Symbol per (property, metric): the mean r over the depths in
+    qaoa.SUPPORTED_DEPTHS (1..3).
 
     "+" for mean >= 0.1, "-" for mean <= -0.1, "" inside (-0.1, 0.1).
     Undefined cells are excluded from the mean; an all-undefined group is
@@ -205,9 +208,7 @@ def sign_summary(cells) -> dict[tuple[str, str], str]:
     """
     by_key: dict[tuple[str, str], list[float]] = {}
     for cell in cells:
-        if cell.p < 1 or cell.p > 3:
-            continue
-        if cell.r is not None:
+        if cell.p in SUPPORTED_DEPTHS and cell.r is not None:
             by_key.setdefault((cell.property, cell.metric), []).append(cell.r)
     out = {}
     for prop in PROPERTY_NAMES:

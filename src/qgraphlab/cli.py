@@ -14,6 +14,7 @@ import sys
 from . import analysis, datastore, pipeline
 from .graphs import (connected_graph_count, encode_graph6, enumerate_connected,
                      read_graph6_file, write_graph6_file)
+from .qaoa import SUPPORTED_DEPTHS
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -50,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     qaoa_cmd.add_argument("--seed", type=int, help="global seed (default 0)")
     qaoa_cmd.set_defaults(config_reads=None)  # every key
     qaoa_cmd.add_argument("--in", dest="infile", required=True, help="graph6 input file")
-    qaoa_cmd.add_argument("--p", type=int, required=True, help="maximum depth (0..3)")
+    qaoa_cmd.add_argument("--p", type=int, required=True,
+                          help=f"maximum depth (0..{max(SUPPORTED_DEPTHS)})")
     qaoa_cmd.add_argument("--out", required=True, help="results CSV to write")
 
     inputs = argparse.ArgumentParser(add_help=False)
@@ -62,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     modes.add_parser("corr", parents=[inputs], help="correlations for every n and p")
     avg = modes.add_parser("avg", parents=[inputs], help="subgroup means")
     hist = modes.add_parser("hist", parents=[inputs], help="subgroup histogram of one metric")
-    modes.add_parser("signs", parents=[inputs], help="sign summary over depths 1..3")
+    modes.add_parser("signs", parents=[inputs],
+                     help=f"sign summary over depths {SUPPORTED_DEPTHS[0]}..{SUPPORTED_DEPTHS[-1]}")
     for mode in (avg, hist):
         mode.add_argument("--flag", choices=["bipartite", "eulerian"], help="subgroup flag")
     hist.add_argument("--bins", type=int, default=20, help="histogram bins (default 20)")
@@ -113,8 +116,8 @@ def _cmd_props(args, config: datastore.RunConfig) -> int:
 
 
 def _cmd_qaoa(args, config: datastore.RunConfig) -> int:
-    if not 0 <= args.p <= 3:
-        raise ValueError(f"--p must be within 0..3, got {args.p}")
+    if not 0 <= args.p <= max(SUPPORTED_DEPTHS):
+        raise ValueError(f"--p must be within 0..{max(SUPPORTED_DEPTHS)}, got {args.p}")
     graphs = _load_graphs(args.infile)
     rows = pipeline.qaoa_result_rows(graphs, args.p, config.starts, config.seed,
                                      workers=config.workers)
@@ -161,9 +164,10 @@ def _cmd_analyze(args) -> int:
     else:  # signs
         cells = []
         for n in sizes:
-            for p in (1, 2, 3):
+            for p in SUPPORTED_DEPTHS:
                 if p not in depths:
-                    raise ValueError(f"sign summary needs depths 1..3; results only have {depths}")
+                    raise ValueError(f"sign summary needs depths {SUPPORTED_DEPTHS[0]}.."
+                                     f"{SUPPORTED_DEPTHS[-1]}; results only have {depths}")
                 cells.extend(analysis.correlation_table(rows, outcomes_by_n[n], n, p))
         datastore.write_signs_csv(analysis.sign_summary(cells), args.out)
     print(f"wrote {args.out}", file=sys.stderr)

@@ -25,7 +25,7 @@ from operator import attrgetter
 
 from .analysis import GroupAverageRow
 from .graphs import EDGE, MAX_VERTICES, Graph, encode_graph6
-from .qaoa import AngleVector, OptimizerStats, QaoaOutcome
+from .qaoa import DEFAULT_STARTS, AngleVector, OptimizerStats, QaoaOutcome
 
 __all__ = [
     "SchemaError",
@@ -53,7 +53,7 @@ def _opt_real(x: float | None) -> str:
     return "" if x is None else fmt_real(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetRow:
     """All structure and symmetry properties of one graph.
 
@@ -118,7 +118,7 @@ def build_dataset_row(g: Graph, profile, symmetry) -> DatasetRow:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QaoaResultRow:
     """Flat per-(graph, depth) record as stored in the results CSV."""
 
@@ -371,7 +371,7 @@ def write_signs_csv(symbols: dict, path: str) -> None:
 class RunConfig:
     """Settings of `props`, `qaoa` and `verify`; `--config` and then flags override them."""
 
-    starts: int = 200
+    starts: int = DEFAULT_STARTS
     seed: int = 0
     workers: int = 0  # 0 = available parallelism
 

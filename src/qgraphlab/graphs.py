@@ -134,8 +134,6 @@ def _bits(mask: int):
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a single-line graph6 record (n <= 16)."""
-    if g.n > MAX_VERTICES:
-        raise UnsupportedSizeError(f"graph6 encoding capped at n={MAX_VERTICES}")
     bits = _triangle(g.n, g.adj)
     bits += "0" * (-len(bits) % 6)
     return chr(63 + g.n) + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6))
@@ -247,6 +245,9 @@ def is_connected(g: Graph) -> bool:
 # one candidate since swapping them is an automorphism.
 
 
+_UNSET = 1 << 20  # above every column of n <= 16 vertices
+
+
 def _canonical_columns(n: int, adj: tuple[int, ...],
                        bound: list[int] | None = None) -> list[int] | None:
     """Columns of the canonical form, column k as a k-bit integer.
@@ -255,52 +256,53 @@ def _canonical_columns(n: int, adj: tuple[int, ...],
     them as its incumbent and returns None at the first relabeling that
     beats them; if none does, it returns `bound`, which is then canonical.
     """
-    infinity = 1 << 20
-    best = [0] + [infinity] * (n - 1) if bound is None else bound
+    best = [0] + [_UNSET] * (n - 1) if bound is None else bound
+    return None if _beaten(adj, best, bound is not None, [], 0) else best
 
-    def beaten(placed: list[int], placed_mask: int, k: int) -> bool:
-        if k == n:
-            return False
-        low = infinity
-        cand: list[int] = []
-        for v in range(n):
-            if placed_mask >> v & 1:
-                continue
-            av = adj[v]
-            col = 0
-            for j in range(k):
-                col = col << 1 | (av >> placed[j] & 1)
-            if col < low:
-                low = col
-                cand = [v]
-            elif col == low:
-                cand.append(v)
-        if low > best[k]:
-            return False
-        if low < best[k]:
-            # the placed prefix equals the incumbent's up to column k, so
-            # every completion of it is a smaller string
-            if bound is not None:
-                return True
-            best[k] = low
-            for i in range(k + 1, n):
-                best[i] = infinity
-        seen_twins: list[tuple[int, int]] = []
-        for v in cand:
-            rv = adj[v] | (1 << v)
-            # Swapping structural twins is an automorphism, so one suffices.
-            if any(rv | (1 << u) == ru | (1 << v) for u, ru in seen_twins):
-                continue
-            seen_twins.append((v, rv))
-            placed.append(v)
-            if beaten(placed, placed_mask | (1 << v), k + 1):
-                return True
-            placed.pop()
+
+def _beaten(adj: tuple[int, ...], best: list[int], bounded: bool, placed: list[int],
+            placed_mask: int) -> bool:
+    """Search the labelings that start with `placed`, updating the incumbent
+    columns `best`; True, when `bounded`, as soon as one beats them."""
+    n, k = len(adj), len(placed)
+    if k == n:
         return False
-
-    found = beaten([], 0, 0)
-    beaten = None  # break the closure's reference to itself: no garbage left for the cyclic GC
-    return None if found else best
+    low = _UNSET
+    cand: list[int] = []
+    for v in range(n):
+        if placed_mask >> v & 1:
+            continue
+        av = adj[v]
+        col = 0
+        for j in range(k):
+            col = col << 1 | (av >> placed[j] & 1)
+        if col < low:
+            low = col
+            cand = [v]
+        elif col == low:
+            cand.append(v)
+    if low > best[k]:
+        return False
+    if low < best[k]:
+        # the placed prefix equals the incumbent's up to column k, so
+        # every completion of it is a smaller string
+        if bounded:
+            return True
+        best[k] = low
+        for i in range(k + 1, n):
+            best[i] = _UNSET
+    seen_twins: list[tuple[int, int]] = []
+    for v in cand:
+        rv = adj[v] | (1 << v)
+        # Swapping structural twins is an automorphism, so one suffices.
+        if any(rv | (1 << u) == ru | (1 << v) for u, ru in seen_twins):
+            continue
+        seen_twins.append((v, rv))
+        placed.append(v)
+        if _beaten(adj, best, bounded, placed, placed_mask | (1 << v)):
+            return True
+        placed.pop()
+    return False
 
 
 def canonical_form(g: Graph) -> str:

@@ -37,7 +37,7 @@ def _props_task(g: Graph) -> DatasetRow:
 def _qaoa_task(args: tuple[Graph, int, int, int]) -> list[QaoaResultRow]:
     g, pmax, starts, seed = args
     mc = maxcut_bruteforce(g)
-    outcomes = run_depth_series(g, pmax, starts=starts, seed=seed, mc=mc)
+    outcomes = run_depth_series(g, pmax, starts=starts, seed=seed)
     return [QaoaResultRow.from_outcome(g, mc, o, starts, seed) for o in outcomes]
 
 

@@ -16,8 +16,8 @@ reductions:
   ceil((n-1)/2) and floor((n-1)/2) qubits, is one stacked product and one
   GEMM on the complex-as-real view.
 
-C takes the m + 1 integer levels 0..m and w the levels n, n - 2, ..., -n, so
-each phase factor is looked up from one complex exp per level.  States carry
+Each phase factor is looked up from a table of one complex exp per value
+that C or w takes on the half state (K8's has 5 of each).  States carry
 leading batch axes: the angle optimizer runs multi-start L-BFGS-B (on the
 exact adjoint gradient) with all starts in lockstep, one kernel call per
 round for the starts that ask for a value, and the depth-1 optimum is
@@ -46,7 +46,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
-from .graphs import Graph, UnsupportedSizeError, _graph_name, canonical_form
+from .graphs import Graph, _graph_name, canonical_form
 
 __all__ = [
     "MaxCutSummary",
@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-MAX_SIM_N = 16
 SUPPORTED_DEPTHS = (1, 2, 3)
 DELTA_EPS = 1e-9  # a remaining gap below this makes the delta ratio undefined
 DEFAULT_STARTS = 200
@@ -146,8 +145,6 @@ class QaoaOutcome:
 
 def cost_vector(g: Graph) -> np.ndarray:
     """Cut value of every assignment: entry z counts edges with unequal bits."""
-    if g.n > MAX_SIM_N:
-        raise UnsupportedSizeError(f"cost vector supports n <= {MAX_SIM_N}, got {g.n}")
     bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n) & 1).astype(np.uint8)
     u, v = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
     return (bits[:, u] != bits[:, v]).sum(axis=1, dtype=np.int64)
@@ -199,11 +196,10 @@ class _Objective:
     def __init__(self, g: Graph):
         half = 1 << (g.n - 1)
         ones = sum((np.arange(half) >> q & 1 for q in range(g.n - 1)), np.zeros(half, int))
-        cost = cost_vector(g)[:half]
-        self.cost = cost.astype(float)
+        self.cost = cost_vector(g)[:half].astype(float)
         self.weight = g.n - 2.0 * (ones + ones % 2)  # sum_q X_q in the Hadamard basis
-        self.cost_levels, self.cost_index = np.arange(g.edge_count + 1.0), cost
-        self.weight_levels, self.weight_index = g.n - 2.0 * np.arange(g.n + 1), ones + ones % 2
+        self.cost_levels, self.cost_index = np.unique(self.cost, return_inverse=True)
+        self.weight_levels, self.weight_index = np.unique(self.weight, return_inverse=True)
         self.lead, self.trail = _hadamard_factors(g.n)
         self.uniform = np.full(half, 2.0 ** (-g.n / 2), dtype=complex)
 
@@ -515,14 +511,14 @@ def _start_points(seed: int, digest: int, count: int, d: int) -> np.ndarray:
     return out * 2.0 ** -53
 
 
-def _outcome(g: Graph, objective: _Objective, mc: MaxCutSummary, p: int, theta,
-             stats: OptimizerStats) -> QaoaOutcome:
+def _outcome(g: Graph, objective: _Objective, p: int, theta, stats: OptimizerStats) -> QaoaOutcome:
     angles = AngleVector.from_flat(theta)
     sv = objective.states(angles.gammas, angles.betas)
-    exp_c = min(float(objective.expectation(sv)), float(mc.cmax))
-    prob = 2.0 * float((np.abs(sv[objective.cost == mc.cmax]) ** 2).sum())
+    cmax = float(objective.cost.max())  # C(z) = C(~z), so the half state holds every cut value
+    exp_c = min(float(objective.expectation(sv)), cmax)
+    prob = 2.0 * float((np.abs(sv[objective.cost == cmax]) ** 2).sum())
     return QaoaOutcome(graph_id=g.id, p=p, best_angles=angles, exp_c=exp_c, prob_cmax=prob,
-                       ratio=exp_c / mc.cmax, delta_ratio=None, optimizer_stats=stats)
+                       ratio=exp_c / cmax, delta_ratio=None, optimizer_stats=stats)
 
 
 def uniform_outcome(g: Graph, mc: MaxCutSummary | None = None) -> QaoaOutcome:
@@ -538,20 +534,19 @@ def uniform_outcome(g: Graph, mc: MaxCutSummary | None = None) -> QaoaOutcome:
 
 
 def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 0,
-                    extra_starts=(), mc: MaxCutSummary | None = None) -> QaoaOutcome:
+                    extra_starts=()) -> QaoaOutcome:
     """Best <C> over multi-start L-BFGS-B; depth 1 is grid cross-checked.
 
     extra_starts supplies additional flat angle vectors to polish alongside
     the seeded random starts (used for warm starts between depths); extra
     point j has start index starts + j.  The first start with the highest
-    value wins.  mc, when given, is this graph's maxcut_bruteforce.
+    value wins.
     """
     if p not in SUPPORTED_DEPTHS:
         raise ValueError(f"depth must be one of {SUPPORTED_DEPTHS}, got {p}")
     if starts < 1:
         raise ValueError("starts must be >= 1")
     _require_edges(g)
-    mc = maxcut_bruteforce(g) if mc is None else mc
     objective = _Objective(g)
     digest = _graph_key(g)
     # uniform(0, hi) is 0 + hi * random(), so one draw of 2p doubles gives the
@@ -565,7 +560,7 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
         if grid_value > value:
             value, theta, best_start = grid_value, np.array([gamma, beta]), -1
     stats = OptimizerStats(starts, best_start, int(nfev.sum()))
-    return _outcome(g, objective, mc, p, theta, stats)
+    return _outcome(g, objective, p, theta, stats)
 
 
 def grid_scan_p1(g: Graph) -> tuple[float, float, float]:
@@ -616,20 +611,19 @@ def metrics_bundle(g: Graph, mc: MaxCutSummary, outcomes) -> list[QaoaOutcome]:
     return filled
 
 
-def run_depth_series(g: Graph, pmax: int, starts: int = DEFAULT_STARTS, seed: int = 0,
-                     mc: MaxCutSummary | None = None) -> list[QaoaOutcome]:
+def run_depth_series(g: Graph, pmax: int, starts: int = DEFAULT_STARTS,
+                     seed: int = 0) -> list[QaoaOutcome]:
     """Optimize depths 1..pmax (plus the depth-0 row) with warm starts.
 
     Each depth adds the zero-padded best of the previous depth to the start
-    set, which keeps best <C> non-decreasing in p by construction.  mc,
-    when given, is this graph's maxcut_bruteforce.
+    set, which keeps best <C> non-decreasing in p by construction.
     """
     if not 0 <= pmax <= max(SUPPORTED_DEPTHS):
         raise ValueError(f"pmax must be within 0..{max(SUPPORTED_DEPTHS)}, got {pmax}")
-    mc = maxcut_bruteforce(g) if mc is None else mc
+    mc = maxcut_bruteforce(g)
     outcomes = [uniform_outcome(g, mc)]
     for p in range(1, pmax + 1):
         prev = outcomes[-1].best_angles
         warm = np.concatenate([prev.gammas, (0.0,), prev.betas, (0.0,)])
-        outcomes.append(optimize_angles(g, p, starts, seed, extra_starts=(warm,), mc=mc))
+        outcomes.append(optimize_angles(g, p, starts, seed, extra_starts=(warm,)))
     return metrics_bundle(g, mc, outcomes)

@@ -127,32 +127,31 @@ def _clique_number(adj: tuple[int, ...], cand: int, size: int, best: int) -> int
 
 def _cut_vertices(g: Graph) -> tuple[int, ...]:
     """Articulation points of a connected graph via the DFS lowpoint method, sorted ascending."""
-    n = g.n
-    num = [-1] * n
-    low = [0] * n
-    out: set[int] = set()
-    counter = 0
+    cuts: set[int] = set()
+    _lowpoint(g.adj, 0, -1, [-1] * g.n, [0] * g.n, cuts, 0)
+    return tuple(sorted(cuts))
 
-    def dfs(v: int, parent: int) -> None:
-        nonlocal counter
-        num[v] = low[v] = counter
-        counter += 1
-        children = 0
-        for w in _bits(g.adj[v]):
-            if num[w] == -1:
-                children += 1
-                dfs(w, v)
-                low[v] = min(low[v], low[w])
-                if parent != -1 and low[w] >= num[v]:
-                    out.add(v)
-            elif w != parent:
-                low[v] = min(low[v], num[w])
-        if parent == -1 and children > 1:
-            out.add(v)
 
-    dfs(0, -1)
-    dfs = None  # break the closure's reference to itself: no garbage left for the cyclic GC
-    return tuple(sorted(out))
+def _lowpoint(adj: tuple[int, ...], v: int, parent: int, num: list[int], low: list[int],
+              cuts: set[int], counter: int) -> int:
+    """DFS from v, reached from parent (-1 at the root): numbers each new
+    vertex from counter on, sets its lowpoint and adds the cut vertices to
+    `cuts`; returns the next unused number."""
+    num[v] = low[v] = counter
+    counter += 1
+    children = 0
+    for w in _bits(adj[v]):
+        if num[w] == -1:
+            children += 1
+            counter = _lowpoint(adj, w, v, num, low, cuts, counter)
+            low[v] = min(low[v], low[w])
+            if parent != -1 and low[w] >= num[v]:
+                cuts.add(v)
+        elif w != parent:
+            low[v] = min(low[v], num[w])
+    if parent == -1 and children > 1:
+        cuts.add(v)
+    return counter
 
 
 def cut_vertices_by_deletion(g: Graph) -> list[int]:
@@ -183,22 +182,22 @@ def _count_simple_cycles(g: Graph) -> dict[int, int]:
     be smaller than the last.
     """
     counts: dict[int, int] = {k: 0 for k in range(3, g.n + 1)}
-    adj = g.adj
     path = [0] * (g.n + 1)
-
-    def walk(root: int, v: int, depth: int, visited: int, allowed: int) -> None:
-        for w in _bits(adj[v] & allowed & ~visited):
-            path[depth] = w
-            if adj[w] >> root & 1 and depth >= 2 and path[1] < w:
-                counts[depth + 1] += 1
-            walk(root, w, depth + 1, visited | (1 << w), allowed)
-
     for root in range(g.n):
-        allowed = ~((1 << (root + 1)) - 1)  # only vertices above the root
         path[0] = root
-        walk(root, root, 1, 1 << root, allowed)
-    walk = None  # break the closure's reference to itself: no garbage left for the cyclic GC
+        _walk(g.adj, path, counts, root, 1, 1 << root, ~((1 << (root + 1)) - 1))
     return counts
+
+
+def _walk(adj: tuple[int, ...], path: list[int], counts: dict[int, int], v: int, depth: int,
+          visited: int, allowed: int) -> None:
+    """Extend the simple path path[:depth], ending at v, through the vertices
+    in `allowed` (those above the root path[0]), counting each cycle it closes."""
+    for w in _bits(adj[v] & allowed & ~visited):
+        path[depth] = w
+        if adj[w] >> path[0] & 1 and depth >= 2 and path[1] < w:
+            counts[depth + 1] += 1
+        _walk(adj, path, counts, w, depth + 1, visited | (1 << w), allowed)
 
 
 def _bfs_tree(g: Graph) -> tuple[list[int], list[int]]:

@@ -36,34 +36,30 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All edge-preserving vertex relabelings, in lexicographic order."""
     if g.n > MAX_GROUP_N:
         raise UnsupportedSizeError(f"automorphism search supports n <= {MAX_GROUP_N}, got {g.n}")
-    n, adj, deg = g.n, g.adj, g.degrees()
-    image = [-1] * n
-    used = 0
     found: list[tuple[int, ...]] = []
-
-    def place(v: int) -> None:
-        nonlocal used
-        if v == n:
-            found.append(tuple(image))
-            return
-        for w in range(n):
-            if used >> w & 1 or deg[w] != deg[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (adj[v] >> u & 1) != (adj[w] >> image[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used |= 1 << w
-                place(v + 1)
-                used ^= 1 << w
-        image[v] = -1
-
-    place(0)
-    place = None  # break the closure's reference to itself: no garbage left for the cyclic GC
+    _place(g.adj, g.degrees(), [-1] * g.n, 0, 0, found)
     return found
+
+
+def _place(adj: tuple[int, ...], deg: tuple[int, ...], image: list[int], v: int, used: int,
+           found: list[tuple[int, ...]]) -> None:
+    """Append to `found`, in lexicographic order, every automorphism that
+    extends the map image[:v], whose images are the bits of `used`."""
+    n = len(adj)
+    if v == n:
+        found.append(tuple(image))
+        return
+    for w in range(n):
+        if used >> w & 1 or deg[w] != deg[v]:
+            continue
+        ok = True
+        for u in range(v):
+            if (adj[v] >> u & 1) != (adj[w] >> image[u] & 1):
+                ok = False
+                break
+        if ok:
+            image[v] = w
+            _place(adj, deg, image, v + 1, used | 1 << w, found)
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import os
+import pickle
 import re
 
 import pytest
@@ -214,6 +215,15 @@ class TestQaoaResults:
     def test_twelve_significant_digits(self):
         assert fmt_real(0.1234567890123456) == "0.123456789012"
         assert fmt_real(4.0) == "4"
+
+
+class TestRowObjects:
+    def test_rows_are_slotted_and_pickle_round_trip(self, result_rows):
+        """Rows carry no per-instance dict, and they cross the process pool
+        by pickle, so a round trip must give an equal row."""
+        for row in (rows_for(4)[-1], result_rows[-1]):
+            assert not hasattr(row, "__dict__")
+            assert pickle.loads(pickle.dumps(row)) == row
 
 
 class TestRunConfig:

@@ -102,6 +102,16 @@ class TestMaxCut:
             assert mc.optimal_count % 2 == 0
             assert 1 <= mc.cmax <= g.edge_count
 
+    def test_half_cost_vector_gives_cmax_and_optimal_count(self):
+        """_outcome reads C_max off the kernel's half cost vector: C(z) = C(~z),
+        so the half holds the maximum and half of the optimal assignments."""
+        for n in range(3, 8):
+            for g in enumerate_connected(n):
+                mc = maxcut_bruteforce(g)
+                cost = _Objective(g).cost
+                assert cost.max() == mc.cmax, g
+                assert 2 * int((cost == cost.max()).sum()) == mc.optimal_count, g
+
     def test_cost_vector(self):
         c4 = cycle_graph(4)
         cost = cost_vector(c4)
@@ -310,11 +320,13 @@ class TestLockstepOptimizer:
 
     def test_phase_tables_equal_direct_exp(self):
         """states() looks phases up from per-level tables; the direct formula
-        takes an exp per amplitude, with C and w computed here."""
+        takes an exp per amplitude, with C and w computed here.  On K3..K8
+        the tables collapse the most levels (K8: 5 cost levels for 28 edges)."""
         rng = np.random.default_rng(23)
         graphs = random.Random(23)
-        for n in range(3, 10):
-            g = random_graph(graphs, n, graphs.uniform(0.3, 0.9))
+        for g in ([random_graph(graphs, n, graphs.uniform(0.3, 0.9)) for n in range(3, 10)]
+                  + [complete_graph(n) for n in range(3, 9)]):
+            n = g.n
             objective = _Objective(g)
             half = 1 << (n - 1)
             cost = cost_vector(g)[:half].astype(float)
@@ -334,11 +346,12 @@ class TestLockstepOptimizer:
         """value_and_grad looks the backward phases up from per-level tables
         and forms each gradient term in reused buffers; the reference keeps
         every step's full phase array and allocates every term, with the same
-        operand order."""
+        operand order.  On K3..K8 the tables collapse the most levels."""
         rng = np.random.default_rng(29)
         graphs = random.Random(29)
-        for n in range(3, 10):
-            g = random_graph(graphs, n, graphs.uniform(0.3, 0.9))
+        for g in ([random_graph(graphs, n, graphs.uniform(0.3, 0.9)) for n in range(3, 10)]
+                  + [complete_graph(n) for n in range(3, 9)]):
+            n = g.n
             objective = _Objective(g)
             half = 1 << (n - 1)
             cost = cost_vector(g)[:half].astype(float)
