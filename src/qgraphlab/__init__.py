@@ -18,6 +18,6 @@ from .qaoa import (AngleVector, MaxCutSummary, QaoaOutcome, cost_vector, evolve,
                    grid_scan_p1, maxcut_bruteforce, metrics_bundle, optimize_angles, prob_cmax,
                    run_depth_series, uniform_outcome)
 from .structure import StructureProfile, structure_profile
-from .symmetry import AutomorphismSummary, automorphism_group, automorphisms
+from .symmetry import AutomorphismSummary, automorphism_group
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ the QaoaResultRows of a results file serve as they are.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +122,15 @@ def property_value(row, name: str) -> float:
 
 
 def _paired(rows, outcomes, n: int, p: int):
-    """Match rows to outcomes by graph id; raise if either side is missing."""
+    """Match rows to outcomes by graph id; raise if either side is missing,
+    or if an id repeats among the outcomes (ids restart at 1 for every n)."""
     row_map = {row.graph_id: row for row in rows if row.n == n}
     out_map = {o.graph_id: o for o in outcomes if o.p == p}
+    counts = Counter(o.graph_id for o in outcomes if o.p == p)
+    repeated = [i for i, count in counts.items() if count > 1]
+    if repeated:
+        raise ValueError(f"graph ids repeated among the p={p} outcomes (results of more than one "
+                         f"vertex count?): {sorted(repeated)}")
     missing = sorted(set(row_map) ^ set(out_map))
     if missing:
         raise MissingDataError(f"graphs present on only one side for n={n}, p={p}: {missing}")
@@ -155,14 +162,19 @@ def _mean(values) -> float | None:
     return float(np.mean(values)) if values else None
 
 
-def group_averages(rows, outcomes, n: int, p: int, flag: str) -> tuple[GroupAverageRow, GroupAverageRow]:
-    """Arithmetic metric means for the flag subgroup and its complement."""
+def _subgroups(rows, outcomes, n: int, p: int, flag: str) -> dict[str, list]:
+    """The paired outcomes of the flag's members and of its non-members."""
     if flag not in ("bipartite", "eulerian", "distance_regular"):
         raise ValueError(f"unsupported subgroup flag {flag!r}")
     pairs = _paired(rows, outcomes, n, p)
+    return {polarity: [o for row, o in pairs if bool(property_value(row, flag)) is keep]
+            for polarity, keep in (("member", True), ("non-member", False))}
+
+
+def group_averages(rows, outcomes, n: int, p: int, flag: str) -> tuple[GroupAverageRow, GroupAverageRow]:
+    """Arithmetic metric means for the flag subgroup and its complement."""
     out = []
-    for polarity, keep in (("member", True), ("non-member", False)):
-        sub = [o for row, o in pairs if bool(property_value(row, flag)) is keep]
+    for polarity, sub in _subgroups(rows, outcomes, n, p, flag).items():
         out.append(GroupAverageRow(
             n=n,
             p=p,
@@ -185,12 +197,10 @@ def histogram(rows, outcomes, n: int, p: int, flag: str, metric: str = "prob_cma
         raise ValueError(f"histogram metric must be one of {HISTOGRAM_METRICS}, got {metric!r}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    pairs = _paired(rows, outcomes, n, p)
     edges = np.linspace(0.0, 1.0, bins + 1)
     fractions: dict[str, tuple[float, ...]] = {}
-    for polarity, keep in (("member", True), ("non-member", False)):
-        values = [getattr(o, metric) for row, o in pairs
-                  if bool(property_value(row, flag)) is keep]
+    for polarity, sub in _subgroups(rows, outcomes, n, p, flag).items():
+        values = [getattr(o, metric) for o in sub]
         values = [v for v in values if v is not None]
         counts, _ = np.histogram(values, bins=edges)
         total = counts.sum()

@@ -1,8 +1,12 @@
-"""Automorphism groups by exhaustive permutation search.
+"""Automorphism groups one stabilizer level at a time (Sims' stabilizer chain).
 
-The search places vertex images one at a time, restricted to images of
-equal degree and consistent adjacency with all previously mapped vertices,
-which is an exhaustive scan of the n! permutations with pruning.
+In lexicographic order on image tuples, the automorphisms that fix 0..j-1
+come before all others.  So when a greedy scan for generators reaches level
+j, its generators generate exactly the automorphisms that fix 0..j, and one
+that fixes 0..j-1 is already generated iff its image of j lies in j's orbit.
+Level j thus needs, for each b outside that orbit, only the first
+automorphism that fixes 0..j-1 and maps j to b.  The group size is the
+product of the level orbits' sizes; no other group element is kept.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, UnsupportedSizeError
 
-__all__ = ["AutomorphismSummary", "automorphisms", "automorphism_group"]
+__all__ = ["AutomorphismSummary", "automorphism_group"]
 
 MAX_GROUP_N = 8
 
@@ -32,80 +36,65 @@ class AutomorphismSummary:
     orbit_count: int
 
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All edge-preserving vertex relabelings, in lexicographic order."""
-    if g.n > MAX_GROUP_N:
-        raise UnsupportedSizeError(f"automorphism search supports n <= {MAX_GROUP_N}, got {g.n}")
-    found: list[tuple[int, ...]] = []
-    _place(g.adj, g.degrees(), [-1] * g.n, 0, 0, found)
-    return found
+def _first_leaf(adj: tuple[int, ...], deg: tuple[int, ...], image: list[int],
+                used: int) -> tuple[int, ...] | None:
+    """The lexicographically first automorphism that maps each v < len(image)
+    to image[v] (the bits of `used`), or None if there is none."""
+    v = len(image)
+    if v == len(adj):
+        return tuple(image)
+    # w can image v iff w's neighbours among the images are the images of v's
+    mapped = 0
+    for u in range(v):
+        if adj[v] >> u & 1:
+            mapped |= 1 << image[u]
+    for w in range(len(adj)):
+        if not used >> w & 1 and deg[w] == deg[v] and adj[w] & used == mapped:
+            leaf = _first_leaf(adj, deg, image + [w], used | 1 << w)
+            if leaf is not None:
+                return leaf
+    return None
 
 
-def _place(adj: tuple[int, ...], deg: tuple[int, ...], image: list[int], v: int, used: int,
-           found: list[tuple[int, ...]]) -> None:
-    """Append to `found`, in lexicographic order, every automorphism that
-    extends the map image[:v], whose images are the bits of `used`."""
-    n = len(adj)
-    if v == n:
-        found.append(tuple(image))
-        return
-    for w in range(n):
-        if used >> w & 1 or deg[w] != deg[v]:
-            continue
-        ok = True
-        for u in range(v):
-            if (adj[v] >> u & 1) != (adj[w] >> image[u] & 1):
-                ok = False
-                break
-        if ok:
-            image[v] = w
-            _place(adj, deg, image, v + 1, used | 1 << w, found)
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a . b)(v) = a[b[v]]."""
-    return tuple(a[x] for x in b)
-
-
-def _extend(group: set[tuple[int, ...]], generators) -> None:
-    """Grow the closed group H in ``group`` to the one generated by H and ``generators``.
-
-    Dimino's method: the new group is a union of right cosets H.r, and
-    right-multiplying a coset by a generator gives another coset, so each
-    new coset is added whole and its representative queued.  Every element
-    is composed once, instead of the whole group once per generator.
-    """
-    base = list(group)
-    reps = base[:1]  # any element of H represents the coset H itself
-    for r in reps:
+def _orbit(v: int, generators: list[tuple[int, ...]]) -> set[int]:
+    """The images of v under every product of the generators."""
+    orbit = {v}
+    frontier = [v]
+    for x in frontier:
         for gen in generators:
-            rep = _compose(r, gen)
-            if rep not in group:
-                group.update(_compose(h, rep) for h in base)
-                reps.append(rep)
+            if gen[x] not in orbit:
+                orbit.add(gen[x])
+                frontier.append(gen[x])
+    return orbit
 
 
 def automorphism_group(g: Graph) -> AutomorphismSummary:
     """Group size, a greedy-lexicographic generating set, and vertex orbits."""
-    perms = automorphisms(g)
     n = g.n
+    if n > MAX_GROUP_N:
+        raise UnsupportedSizeError(f"automorphism search supports n <= {MAX_GROUP_N}, got {n}")
+    adj, deg = g.adj, g.degrees()
 
     generators: list[tuple[int, ...]] = []
-    reached = {tuple(range(n))}
-    for p in perms:
-        if p in reached:
-            continue
-        generators.append(p)
-        _extend(reached, generators)
-        if len(reached) == len(perms):
-            break
+    group_size = 1
+    for j in range(n - 1, -1, -1):
+        fixed = (1 << j) - 1
+        orbit = {j}
+        for b in range(j + 1, n):
+            # pruning only: j's image must share its degree and its edges to 0..j-1
+            if b in orbit or deg[b] != deg[j] or (adj[b] ^ adj[j]) & fixed:
+                continue
+            leaf = _first_leaf(adj, deg, [*range(j), b], fixed | 1 << b)
+            if leaf is not None:
+                generators.append(leaf)
+                orbit = _orbit(j, generators)
+        group_size *= len(orbit)
 
-    # v's orbit is its image under every automorphism; disjoint sorted
-    # tuples sort by their smallest element.
-    orbits = sorted({tuple(sorted({p[v] for p in perms})) for v in range(n)})
+    # disjoint sorted tuples sort by their smallest element
+    orbits = sorted({tuple(sorted(_orbit(v, generators))) for v in range(n)})
 
     return AutomorphismSummary(
-        group_size=len(perms),
+        group_size=group_size,
         generators=tuple(generators),
         orbits=tuple(orbits),
         orbit_count=len(orbits),

@@ -10,6 +10,7 @@ from qgraphlab.analysis import (CorrelationCell, MissingDataError, correlation_t
                                 PROPERTY_NAMES, METRIC_NAMES)
 from qgraphlab.datastore import build_dataset_row
 from qgraphlab.graphs import enumerate_connected
+from qgraphlab.pipeline import dataset_rows, qaoa_result_rows
 from qgraphlab.qaoa import uniform_outcome
 from qgraphlab.structure import structure_profile
 from qgraphlab.symmetry import automorphism_group
@@ -103,6 +104,17 @@ class TestCorrelationTable:
         with pytest.raises(MissingDataError, match=r"\[6\]"):
             correlation_table(n4_rows, n4_uniform[:-1], 4, 0)
 
+    def test_outcomes_of_two_vertex_counts_raise(self):
+        # graph ids restart at 1 for every n, so the n = 5 results would
+        # silently replace those of n = 6 graphs 1..21
+        rows = dataset_rows(enumerate_connected(5), 1) + dataset_rows(enumerate_connected(6), 1)
+        res5 = qaoa_result_rows(enumerate_connected(5), 0, 1, 0, 1)
+        res6 = qaoa_result_rows(enumerate_connected(6), 0, 1, 0, 1)
+        cells = {(c.property, c.metric): c.r for c in correlation_table(rows, res6, 6, 0)}
+        assert cells[("edges", "exp_c")] == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match=r"repeated .*\[1, 2, 3, .*, 21\]"):
+            correlation_table(rows, res6 + res5, 6, 0)
+
 
 class TestGroupAverages:
     def test_depth0_bipartite_means(self, n4_rows, n4_uniform):
@@ -151,6 +163,12 @@ class TestHistogram:
     def test_bins_floor(self, n4_rows, n4_uniform):
         with pytest.raises(ValueError, match="bins"):
             histogram(n4_rows, n4_uniform, 4, 0, "bipartite", bins=0)
+
+    def test_bad_flag(self, n4_rows, n4_uniform):
+        with pytest.raises(ValueError, match="flag"):
+            histogram(n4_rows, n4_uniform, 4, 0, "edges", metric="ratio", bins=4)
+        with pytest.raises(ValueError, match="flag"):
+            histogram(n4_rows, n4_uniform, 4, 0, "no_such_flag")
 
     def test_metric_outside_unit_interval_rejected(self, n4_rows, n4_uniform):
         with pytest.raises(ValueError, match="metric"):

@@ -280,8 +280,9 @@ class TestConstructions:
 class TestSearchMemory:
     def test_searches_leave_no_cyclic_garbage(self):
         """The recursive searches (canonical form, enumeration, structure,
-        automorphisms) free everything they build by reference counting, so a
-        command's peak memory does not depend on when the cyclic GC runs."""
+        automorphism groups) free everything they build by reference
+        counting, so a command's peak memory does not depend on when the
+        cyclic GC runs."""
         graphs = enumerate_connected(6)
         gc.collect()
         gc.disable()
