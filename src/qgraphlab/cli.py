@@ -2,13 +2,16 @@
 
 Subcommands: graphs gen/count, props, qaoa, analyze corr/avg/hist/signs,
 and verify golden/invariants.  Exit codes: 0 success, 1 failed
-verification, 2 bad arguments or malformed inputs, 3 missing input files.
+verification, 2 bad arguments, malformed inputs, an unusable input or output
+path or a closed standard output, 3 missing input files.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import os
 import sys
 
 from . import analysis, datastore, pipeline
@@ -94,13 +97,10 @@ def _load_graphs(path: str):
 def _cmd_graphs(args) -> int:
     if args.graphs_command == "count":
         print(connected_graph_count(args.n))
-        return EXIT_OK
-    graphs = enumerate_connected(args.n)
-    if args.out:
-        write_graph6_file(graphs, args.out)
+    elif args.out:
+        write_graph6_file(enumerate_connected(args.n), args.out)
     else:
-        for g in graphs:
-            print(encode_graph6(g))
+        print(*map(encode_graph6, enumerate_connected(args.n)), sep="\n")
     return EXIT_OK
 
 
@@ -126,50 +126,36 @@ def _cmd_qaoa(args, config: datastore.RunConfig) -> int:
     return EXIT_OK
 
 
-def _analysis_inputs(args):
-    rows = datastore.read_dataset(args.props)
-    results = datastore.read_qaoa_results(args.qaoa_file)
-    sizes = sorted({r.n for r in results})
-    depths = sorted({r.p for r in results})
-    # graph ids restart at 1 for every vertex count, so pairing is per-n
-    outcomes_by_n = {n: [r for r in results if r.n == n] for n in sizes}
-    return rows, outcomes_by_n, sizes, depths
-
-
 def _cmd_analyze(args) -> int:
     if args.mode in ("avg", "hist") and not args.flag:
         raise ValueError(f"analyze {args.mode} requires --flag bipartite|eulerian")
-    rows, outcomes_by_n, sizes, depths = _analysis_inputs(args)
-    if args.mode == "corr":
-        cells = []
-        for n in sizes:
-            for p in depths:
-                cells.extend(analysis.correlation_table(rows, outcomes_by_n[n], n, p))
-        datastore.write_correlation_csv(cells, args.out)
-    elif args.mode == "avg":
-        avg_rows = []
-        for n in sizes:
-            for p in depths:
-                avg_rows.extend(analysis.group_averages(rows, outcomes_by_n[n], n, p, args.flag))
-        datastore.write_averages_csv(avg_rows, args.out)
-    elif args.mode == "hist":
+    rows = datastore.read_dataset(args.props)
+    results = datastore.read_qaoa_results(args.qaoa_file)
+    sizes, depths = sorted({r.n for r in results}), sorted({r.p for r in results})
+    # graph ids restart at 1 for every vertex count, so pairing is per-n
+    by_n = {n: [r for r in results if r.n == n] for n in sizes}
+    if args.mode == "hist":
         if len(sizes) != 1:
             raise ValueError(f"analyze hist expects one vertex count, found {sizes}")
         p = args.p if args.p is not None else max(depths)
         if p not in depths:
             raise ValueError(f"analyze hist --p {p}: the results only have depths {depths}")
-        spec = analysis.histogram(rows, outcomes_by_n[sizes[0]], sizes[0], p, args.flag,
+        spec = analysis.histogram(rows, by_n[sizes[0]], sizes[0], p, args.flag,
                                   metric=args.metric, bins=args.bins)
         datastore.write_histogram_csv(spec, args.out)
-    else:  # signs
-        cells = []
-        for n in sizes:
-            for p in SUPPORTED_DEPTHS:
-                if p not in depths:
-                    raise ValueError(f"sign summary needs depths {SUPPORTED_DEPTHS[0]}.."
-                                     f"{SUPPORTED_DEPTHS[-1]}; results only have {depths}")
-                cells.extend(analysis.correlation_table(rows, outcomes_by_n[n], n, p))
-        datastore.write_signs_csv(analysis.sign_summary(cells), args.out)
+    else:
+        if args.mode == "signs" and not set(SUPPORTED_DEPTHS) <= set(depths):
+            raise ValueError(f"sign summary needs depths {SUPPORTED_DEPTHS[0]}.."
+                             f"{SUPPORTED_DEPTHS[-1]}; results only have {depths}")
+        reduce = (functools.partial(analysis.group_averages, flag=args.flag)
+                  if args.mode == "avg" else analysis.correlation_table)
+        cells = [cell for n in sizes for p in depths for cell in reduce(rows, by_n[n], n, p)]
+        if args.mode == "corr":
+            datastore.write_correlation_csv(cells, args.out)
+        elif args.mode == "avg":
+            datastore.write_averages_csv(cells, args.out)
+        else:  # the summary keeps only the depths it averages
+            datastore.write_signs_csv(analysis.sign_summary(cells), args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -196,20 +182,25 @@ def main(argv=None) -> int:
                  if getattr(args, f.name, None) is not None}
         config = dataclasses.replace(config, **flags)  # a flag beats the config; validates all
         if args.command == "graphs":
-            return _cmd_graphs(args)
-        if args.command == "props":
-            return _cmd_props(args, config)
-        if args.command == "qaoa":
-            return _cmd_qaoa(args, config)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        return _cmd_verify(args, config)
-    except FileNotFoundError as exc:
-        print(f"error: missing input: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            code = _cmd_graphs(args)
+        elif args.command == "props":
+            code = _cmd_props(args, config)
+        elif args.command == "qaoa":
+            code = _cmd_qaoa(args, config)
+        elif args.command == "analyze":
+            code = _cmd_analyze(args)
+        else:
+            code = _cmd_verify(args, config)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: the exit flush drops what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BAD_ARGS
+    except (OSError, ValueError) as exc:
+        # a FileNotFoundError on --out is a missing output directory
+        missing = isinstance(exc, FileNotFoundError) and exc.filename != getattr(args, "out", None)
+        print(f"error: {'missing input: ' if missing else ''}{exc}", file=sys.stderr)
+        return EXIT_MISSING_INPUT if missing else EXIT_BAD_ARGS
 
 
 if __name__ == "__main__":

@@ -93,29 +93,14 @@ class DatasetRow:
 
 
 def build_dataset_row(g: Graph, profile, symmetry) -> DatasetRow:
-    """Assemble one dataset row from a structure profile and group summary."""
-    return DatasetRow(
-        graph_id=g.id,
-        n=g.n,
-        graph6=encode_graph6(g),
-        bipartite=profile.bipartite,
-        edges=profile.edges,
-        diameter=profile.diameter,
-        clique_number=profile.clique_number,
-        distance_regular=profile.distance_regular,
-        distance_regular_strict=profile.distance_regular_strict,
-        eulerian=profile.eulerian,
-        cut_vertices=tuple(profile.cut_vertices),
-        cut_vertex_count=profile.cut_vertex_count,
-        cycle_basis=profile.cycle_basis,
-        degree_sequence=tuple(profile.degree_sequence),
-        automorphism_generators=symmetry.generators,
-        group_size=symmetry.group_size,
-        orbits=symmetry.orbits,
-        orbit_count=symmetry.orbit_count,
-        cycle_count_by_len=tuple(profile.cycle_counts.get(k, 0) for k in range(3, g.n + 1)),
-        min_odd_cycle_count=profile.min_odd_cycle_count,
-    )
+    """One dataset row: the profile's and the summary's fields by name, with
+    generators as automorphism_generators and cycle_counts as cycle_count_by_len."""
+    values = {f.name: getattr(src, f.name) for src in (profile, symmetry) for f in fields(src)}
+    counts = values.pop("cycle_counts")
+    return DatasetRow(graph_id=g.id, n=g.n, graph6=encode_graph6(g),
+                      automorphism_generators=values.pop("generators"),
+                      cycle_count_by_len=tuple(counts.get(k, 0) for k in range(3, g.n + 1)),
+                      **values)
 
 
 @dataclass(frozen=True, slots=True)

@@ -172,13 +172,16 @@ def _record_bits(text: str) -> tuple[int, str]:
 
 
 def read_graph6_file(path) -> list[Graph]:
-    """Read a graph6 file (one record per line, blank lines skipped); ids
-    number the records 1, 2, ... in file order.  A malformed record's error
-    starts with "path:line:".  Latin-1 reads each byte as one character, so
+    """Read a graph6 file (one record per line, blank lines skipped, after
+    the optional ">>graph6<<" header at the very start); ids number the
+    records 1, 2, ... in file order.  A malformed record's error starts
+    with "path:line:".  Latin-1 reads each byte as one character, so
     _record_bits names a stray byte."""
     graphs = []
     with open(path, "r", encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if lineno == 1:
+                line = line.removeprefix(">>graph6<<")
             try:
                 if line.strip(_BLANK):
                     graphs.append(_graph_from_bits(*_record_bits(line), id=len(graphs) + 1))

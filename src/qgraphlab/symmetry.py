@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, UnsupportedSizeError
+from .graphs import Graph
 
 __all__ = ["AutomorphismSummary", "automorphism_group"]
-
-MAX_GROUP_N = 8
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,6 @@ def _orbit(v: int, generators: list[tuple[int, ...]]) -> set[int]:
 def automorphism_group(g: Graph) -> AutomorphismSummary:
     """Group size, a greedy-lexicographic generating set, and vertex orbits."""
     n = g.n
-    if n > MAX_GROUP_N:
-        raise UnsupportedSizeError(f"automorphism search supports n <= {MAX_GROUP_N}, got {n}")
     adj, deg = g.adj, g.degrees()
 
     generators: list[tuple[int, ...]] = []

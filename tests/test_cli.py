@@ -1,13 +1,15 @@
 import csv
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
 from qgraphlab import verify
 from qgraphlab.cli import main
 from qgraphlab.datastore import read_dataset, read_qaoa_results
-from qgraphlab.graphs import enumerate_connected
+from qgraphlab.graphs import cycle_graph, encode_graph6, enumerate_connected, path_graph
 from qgraphlab.pipeline import dataset_rows, qaoa_result_rows, resolve_workers
 from qgraphlab.qaoa import DEFAULT_STARTS
 
@@ -154,12 +156,57 @@ class TestPipeline:
         assert "--p 7: the results only have depths [0, 1, 2]" in capsys.readouterr().err
 
 
+    def test_props_beyond_eight_vertices(self, tmp_path):
+        g6, out = tmp_path / "n9.g6", tmp_path / "props9.csv"
+        g6.write_text(f"{encode_graph6(path_graph(9))}\n{encode_graph6(cycle_graph(9))}\n")
+        assert main(["props", "--in", str(g6), "--out", str(out), "--workers", "1"]) == 0
+        assert [(r.group_size, r.orbit_count, r.cycle_count_by_len) for r in read_dataset(out)] \
+            == [(2, 5, (0,) * 7), (18, 1, (0,) * 6 + (1,))]
+
+
 class TestExitCodes:
     def test_missing_input_is_3(self, tmp_path, capsys):
         code = main(["props", "--in", str(tmp_path / "nope.g6"),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "missing input" in capsys.readouterr().err
+
+    def test_missing_analysis_input_is_3(self, n4_run, capsys):
+        tmp, _, props, _ = n4_run
+        code = main(["analyze", "corr", "--props", props, "--qaoa", str(tmp / "nope.csv"),
+                     "--out", str(tmp / "c.csv")])
+        assert code == 3
+        assert f"missing input: [Errno 2] No such file or directory: '{tmp / 'nope.csv'}'" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["props", "--in", "{dir}", "--out", "{dir}/x.csv"],
+        ["graphs", "gen", "--n", "4", "--out", "{dir}"],
+    ], ids=["props-input", "gen-output"])
+    def test_directory_path_is_2(self, tmp_path, capsys, argv):
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+        assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    def test_output_in_missing_directory_is_2(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.g6"
+        assert main(["graphs", "gen", "--n", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_2_without_traceback(self, unbuffered):
+        # the reader end is closed before the command writes anything; buffered,
+        # the write fails only when stdout is flushed
+        read, write = os.pipe()
+        os.close(read)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qgraphlab.cli", "graphs", "gen", "--n", "7"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, b"")
 
     def test_bad_record_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.g6"
@@ -423,6 +470,16 @@ class TestFileBytes:
     PROPS_N5 = "083389a9c614ea5aad5f7d674a81b0e785b823b0e4f8a1bc9d22c6780bf1f132"
     PROPS_N7 = "7fdcb2d47a8c4002ae642ba08048ab777c935b6e7293825b854c7f548ac1b5c9"
     QAOA_P0_N5 = "4be1b3d3b68554aa9345977b10d56a04852b6c61edd6632204f3c77a0d058b88"
+    # sha256 of the analyses of the n = 5 depth-0 files, and of the sign
+    # summary of an n = 4 depth-3 run
+    ANALYZE_N5 = {
+        ("corr",): "ddf11dc28add179f631e0817071d599ec600cd6fd5971496841afb5244cca558",
+        ("avg", "--flag", "bipartite"):
+            "74523adf6f8db809d1e61e454fdf6f88db15eee3db5420e569a9bca9a5df8a39",
+        ("hist", "--flag", "bipartite"):
+            "c5fc2a5fc5d145c4173889c7ecff5e492794e3ee4e628fab8a218a152957236a",
+    }
+    SIGNS_N4 = "314cdeab82d04f770fab1136c38eeabd331ee0c6b234a6f7027a3eae4b40e134"
 
     def test_pinned_bytes_and_padding(self, n4_run):
         tmp, _, _, qaoa2 = n4_run
@@ -432,6 +489,10 @@ class TestFileBytes:
         assert main(["qaoa", "--in", g6, "--p", "0", "--out", qaoa0, "--workers", "1"]) == 0
         assert hashlib.sha256(open(props, "rb").read()).hexdigest() == self.PROPS_N5
         assert hashlib.sha256(open(qaoa0, "rb").read()).hexdigest() == self.QAOA_P0_N5
+        out = str(tmp / "analysis.csv")
+        for mode, digest in self.ANALYZE_N5.items():
+            assert main(["analyze", *mode, "--props", props, "--qaoa", qaoa0, "--out", out]) == 0
+            assert hashlib.sha256(open(out, "rb").read()).hexdigest() == digest, mode
         g6, props = str(tmp / "n7.g6"), str(tmp / "props7.csv")
         assert main(["graphs", "gen", "--n", "7", "--out", g6]) == 0
         assert main(["props", "--in", g6, "--out", props, "--workers", "1"]) == 0
@@ -443,3 +504,11 @@ class TestFileBytes:
         depth0 = [rec.split(",") for rec in records if rec.split(",")[3] == "0"]
         assert len(depth0) == 6
         assert all(cells[4:8] == ["", "", "", ""] for cells in depth0)
+
+    def test_pinned_sign_summary(self, n4_run):
+        tmp, g6, props, _ = n4_run
+        qaoa, out = str(tmp / "qaoa3.csv"), str(tmp / "signs.csv")
+        assert main(["qaoa", "--in", g6, "--p", "3", "--starts", "8", "--seed", "3",
+                     "--out", qaoa, "--workers", "1"]) == 0
+        assert main(["analyze", "signs", "--props", props, "--qaoa", qaoa, "--out", out]) == 0
+        assert hashlib.sha256(open(out, "rb").read()).hexdigest() == self.SIGNS_N4

@@ -1,6 +1,7 @@
 import os
 import pickle
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from qgraphlab.datastore import (DatasetRow, QaoaResultRow, RunConfig, SchemaErr
                                  fmt_real)
 from qgraphlab.graphs import EDGE, enumerate_connected
 from qgraphlab.qaoa import maxcut_bruteforce, run_depth_series
-from qgraphlab.structure import structure_profile
-from qgraphlab.symmetry import automorphism_group
+from qgraphlab.structure import StructureProfile, structure_profile
+from qgraphlab.symmetry import AutomorphismSummary, automorphism_group
 
 
 def rows_for(n):
@@ -35,6 +36,22 @@ class TestDatasetRoundTrip:
         target = os.path.join(tmp_path, "out.csv")
         write_dataset_file(rows, target)
         assert read_dataset(target) == rows
+
+    def test_row_fields_are_the_source_fields_by_name(self):
+        renames = {"generators": "automorphism_generators", "cycle_counts": "cycle_count_by_len"}
+        sourced = [renames.get(f.name, f.name)
+                   for source in (StructureProfile, AutomorphismSummary) for f in fields(source)]
+        assert sorted(f.name for f in fields(DatasetRow)) == sorted(["graph_id", "n", "graph6",
+                                                                     *sourced])
+        g = enumerate_connected(5)[-3]
+        profile, summary = structure_profile(g), automorphism_group(g)
+        row = build_dataset_row(g, profile, summary)
+        for source in (profile, summary):
+            for f in fields(source):
+                if f.name not in renames:
+                    assert getattr(row, f.name) == getattr(source, f.name), f.name
+        assert row.automorphism_generators == summary.generators
+        assert row.cycle_counts == {k: profile.cycle_counts.get(k, 0) for k in range(3, 6)}
 
     def test_cycle_counts_view(self):
         row = rows_for(4)[-1]

@@ -114,6 +114,23 @@ class TestGraph6:
         assert [g.id for g in back] == [1, 2, 3, 4, 5, 6]
         assert [g.adj for g in back] == [g.adj for g in gs]
 
+    @pytest.mark.parametrize("header", [">>graph6<<", ">>graph6<<\n"],
+                             ids=["on-first-record", "own-line"])
+    def test_file_header_reads_as_without_it(self, tmp_path, header):
+        # nauty's -h writes the header with no end of line before the first record
+        path = tmp_path / "g.g6"
+        write_graph6_file(enumerate_connected(4), path)
+        plain = read_graph6_file(path)
+        path.write_text(header + path.read_text())
+        back = read_graph6_file(path)
+        assert [(g.id, g.n, g.adj) for g in back] == [(g.id, g.n, g.adj) for g in plain]
+
+    def test_file_header_only_at_start(self, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_text("C~\n>>graph6<<C~\n")
+        with pytest.raises(Graph6Error, match=":2: byte 62 outside"):
+            read_graph6_file(path)
+
 
 class TestRelabel:
     def test_identity(self):

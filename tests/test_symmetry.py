@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 import tracemalloc
 
 import networkx as nx
 import pytest
 
-from qgraphlab.graphs import (Graph, UnsupportedSizeError, complete_graph, cycle_graph,
+from qgraphlab.graphs import (Graph, complete_bipartite, complete_graph, cycle_graph,
                               enumerate_connected, path_graph, relabel, star_graph)
 from qgraphlab.symmetry import automorphism_group
 
@@ -91,14 +92,45 @@ class TestAutomorphisms:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_size_cap(self):
-        with pytest.raises(UnsupportedSizeError):
-            automorphism_group(Graph(9, (0,) * 9))
+    def test_nine_to_sixteen_vertices_match_networkx(self):
+        rook = [(4 * a + b, 4 * c + d) for a, b, c, d in itertools.product(range(4), repeat=4)
+                if (a == c) != (b == d)]
+        steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+        shrikhande = [(4 * a + b, 4 * c + d) for a, b, c, d in itertools.product(range(4), repeat=4)
+                      if ((c - a) % 4, (d - b) % 4) in steps]
+        sample = [path_graph(9), cycle_graph(9), Graph.from_edges(16, rook),
+                  Graph.from_edges(16, shrikhande)]
+        rng = random.Random(31)
+        for n in range(9, 17):
+            for _ in range(3):  # a random spanning tree plus n // 2 random edges
+                edges = {(rng.randrange(v), v) for v in range(1, n)}
+                edges |= {tuple(rng.sample(range(n), 2)) for _ in range(n // 2)}
+                sample.append(relabel(Graph.from_edges(n, edges), rng.sample(range(n), n)))
+        for g in sample:
+            G = nx.Graph(g.edges())
+            G.add_nodes_from(range(g.n))
+            perms = [tuple(m[v] for v in range(g.n))
+                     for m in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter()]
+            summary = automorphism_group(g)
+            assert summary.group_size == len(perms)
+            assert closure(summary.generators, g.n) == set(perms)
+            orbits = {tuple(sorted({p[v] for p in perms})) for v in range(g.n)}
+            assert summary.orbits == tuple(sorted(orbits))
+        assert [automorphism_group(g).group_size for g in sample[:4]] == [2, 18, 1152, 192]
+
+    @pytest.mark.parametrize("g, size, orbits", [
+        (complete_graph(16), math.factorial(16), (tuple(range(16)),)),
+        (star_graph(16), math.factorial(15), ((0,), tuple(range(1, 16)))),
+        (Graph(16, (0,) * 16), math.factorial(16), (tuple(range(16)),)),
+        (complete_bipartite(8, 8), 2 * math.factorial(8) ** 2, (tuple(range(16)),)),
+    ], ids=["K16", "star16", "empty16", "K8,8"])
+    def test_sixteen_vertex_closed_forms(self, g, size, orbits):
+        summary = automorphism_group(g)
+        assert (summary.group_size, summary.orbits) == (size, orbits)
 
 
 class TestGroupStructure:
     def test_group_size_divides_factorial(self):
-        import math
         for g in enumerate_connected(5):
             assert math.factorial(5) % automorphism_group(g).group_size == 0
 
