@@ -78,10 +78,9 @@ class GroupAverageRow:
     p: int
     flag: str
     polarity: str  # "member" | "non-member"
-    count: int
-    mean_prob: float
-    mean_exp_c: float
-    mean_ratio: float
+    mean_prob: float | None  # None: the subgroup has no defined value
+    mean_exp_c: float | None
+    mean_ratio: float | None
     mean_delta: float | None
 
 
@@ -149,10 +148,7 @@ def correlation_table(rows, outcomes, n: int, p: int) -> list[CorrelationCell]:
         for metric in METRIC_NAMES:
             ys = [getattr(o, metric) for _, o in pairs]
             keep = [(x, y) for x, y in zip(xs, ys) if y is not None]
-            if keep:
-                r = pearson([k[0] for k in keep], [k[1] for k in keep])
-            else:
-                r = None
+            r = pearson([k[0] for k in keep], [k[1] for k in keep])  # None below two pairs
             cells.append(CorrelationCell(n, p, prop, metric, r, len(keep)))
     return cells
 
@@ -172,21 +168,13 @@ def _subgroups(rows, outcomes, n: int, p: int, flag: str) -> dict[str, list]:
 
 
 def group_averages(rows, outcomes, n: int, p: int, flag: str) -> tuple[GroupAverageRow, GroupAverageRow]:
-    """Arithmetic metric means for the flag subgroup and its complement."""
-    out = []
-    for polarity, sub in _subgroups(rows, outcomes, n, p, flag).items():
-        out.append(GroupAverageRow(
-            n=n,
-            p=p,
-            flag=flag,
-            polarity=polarity,
-            count=len(sub),
-            mean_prob=_mean(o.prob_cmax for o in sub),
-            mean_exp_c=_mean(o.exp_c for o in sub),
-            mean_ratio=_mean(o.ratio for o in sub),
-            mean_delta=_mean(o.delta_ratio for o in sub),
-        ))
-    return out[0], out[1]
+    """Arithmetic metric means for the flag subgroup and its complement; a
+    mean over no defined value is None."""
+    member, non = (GroupAverageRow(n, p, flag, polarity,
+                                   *(_mean(getattr(o, metric) for o in sub)
+                                     for metric in ("prob_cmax", "exp_c", "ratio", "delta_ratio")))
+                   for polarity, sub in _subgroups(rows, outcomes, n, p, flag).items())
+    return member, non
 
 
 def histogram(rows, outcomes, n: int, p: int, flag: str, metric: str = "prob_cmax",
@@ -223,10 +211,7 @@ def sign_summary(cells) -> dict[tuple[str, str], str]:
     out = {}
     for prop in PROPERTY_NAMES:
         for metric in METRIC_NAMES:
-            rs = by_key.get((prop, metric), [])
-            if not rs:
-                out[(prop, metric)] = ""
-                continue
-            mean = float(np.mean(rs))
+            rs = by_key.get((prop, metric))
+            mean = float(np.mean(rs)) if rs else 0.0  # all undefined: blank
             out[(prop, metric)] = "+" if mean >= 0.1 else ("-" if mean <= -0.1 else "")
     return out

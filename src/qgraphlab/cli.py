@@ -3,12 +3,14 @@
 Subcommands: graphs gen/count, props, qaoa, analyze corr/avg/hist/signs,
 and verify golden/invariants.  Exit codes: 0 success, 1 failed
 verification, 2 bad arguments, malformed inputs, an unusable input or output
-path or a closed standard output, 3 missing input files.
+path or a closed standard output, 3 missing input files.  An `--out` file
+appears only whole, and an unusable one fails before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
@@ -41,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--config", help="flat key=value file of run settings (see RunConfig)")
     settings.add_argument("--workers", type=int, help="worker processes (0 = usable CPUs)")
-    settings.set_defaults(config_reads=("workers",))
 
     props = sub.add_parser("props", parents=[settings],
                            help="per-graph structure and symmetry dataset")
@@ -52,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="optimize angles and store metrics for depths 0..P")
     qaoa_cmd.add_argument("--starts", type=int, help="random starts per depth (default 200)")
     qaoa_cmd.add_argument("--seed", type=int, help="global seed (default 0)")
-    qaoa_cmd.set_defaults(config_reads=None)  # every key
     qaoa_cmd.add_argument("--in", dest="infile", required=True, help="graph6 input file")
     qaoa_cmd.add_argument("--p", type=int, required=True,
                           help=f"maximum depth (0..{max(SUPPORTED_DEPTHS)})")
@@ -94,39 +94,63 @@ def _load_graphs(path: str):
     return graphs
 
 
-def _cmd_graphs(args) -> int:
+@contextlib.contextmanager
+def _whole_file(path: str):
+    """Yield the path to write `path` through: a file made now beside it and
+    renamed onto it once the body returns, or removed if the body fails, so
+    `path` is never partly written.  A device or a pipe is written as it is."""
+    if os.path.exists(path):
+        open(path, "r+").close()  # a directory or a read-only file fails here
+        if not os.path.isfile(path):
+            yield path
+            return
+    target = os.path.realpath(path)  # a symbolic link's target is replaced, not the link
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        open(temp, "x").close()
+    except OSError as exc:  # the error names --out, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        yield temp
+        os.replace(temp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)  # the body failed
+
+
+def _cmd_graphs(args, out) -> int:
     if args.graphs_command == "count":
         print(connected_graph_count(args.n))
-    elif args.out:
-        write_graph6_file(enumerate_connected(args.n), args.out)
+    elif out:
+        write_graph6_file(enumerate_connected(args.n), out)
     else:
         print(*map(encode_graph6, enumerate_connected(args.n)), sep="\n")
     return EXIT_OK
 
 
-def _cmd_props(args, config: datastore.RunConfig) -> int:
+def _cmd_props(args, config: datastore.RunConfig, out: str) -> int:
     graphs = _load_graphs(args.infile)
     sizes = {g.n for g in graphs}
     if len(sizes) != 1:
         raise ValueError(f"props expects one vertex count per file, found {sorted(sizes)}")
     rows = pipeline.dataset_rows(graphs, workers=config.workers)
-    datastore.write_dataset_file(rows, args.out)
+    datastore.write_dataset_file(rows, out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_qaoa(args, config: datastore.RunConfig) -> int:
+def _cmd_qaoa(args, config: datastore.RunConfig, out: str) -> int:
     if not 0 <= args.p <= max(SUPPORTED_DEPTHS):
         raise ValueError(f"--p must be within 0..{max(SUPPORTED_DEPTHS)}, got {args.p}")
     graphs = _load_graphs(args.infile)
     rows = pipeline.qaoa_result_rows(graphs, args.p, config.starts, config.seed,
                                      workers=config.workers)
-    datastore.write_qaoa_results(rows, args.out)
+    datastore.write_qaoa_results(rows, out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, out: str) -> int:
     if args.mode in ("avg", "hist") and not args.flag:
         raise ValueError(f"analyze {args.mode} requires --flag bipartite|eulerian")
     rows = datastore.read_dataset(args.props)
@@ -142,7 +166,7 @@ def _cmd_analyze(args) -> int:
             raise ValueError(f"analyze hist --p {p}: the results only have depths {depths}")
         spec = analysis.histogram(rows, by_n[sizes[0]], sizes[0], p, args.flag,
                                   metric=args.metric, bins=args.bins)
-        datastore.write_histogram_csv(spec, args.out)
+        datastore.write_histogram_csv(spec, out)
     else:
         if args.mode == "signs" and not set(SUPPORTED_DEPTHS) <= set(depths):
             raise ValueError(f"sign summary needs depths {SUPPORTED_DEPTHS[0]}.."
@@ -151,11 +175,11 @@ def _cmd_analyze(args) -> int:
                   if args.mode == "avg" else analysis.correlation_table)
         cells = [cell for n in sizes for p in depths for cell in reduce(rows, by_n[n], n, p)]
         if args.mode == "corr":
-            datastore.write_correlation_csv(cells, args.out)
+            datastore.write_correlation_csv(cells, out)
         elif args.mode == "avg":
-            datastore.write_averages_csv(cells, args.out)
+            datastore.write_averages_csv(cells, out)
         else:  # the summary keeps only the depths it averages
-            datastore.write_signs_csv(analysis.sign_summary(cells), args.out)
+            datastore.write_signs_csv(analysis.sign_summary(cells), out)
     print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -176,29 +200,33 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        path = getattr(args, "config", None)  # graphs and analyze read no setting
-        config = datastore.load_config(path, args.config_reads) if path else datastore.RunConfig()
-        flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(config)
-                 if getattr(args, f.name, None) is not None}
+        # a command reads the settings it has flags for; graphs and analyze read none
+        reads = [f.name for f in dataclasses.fields(datastore.RunConfig) if hasattr(args, f.name)]
+        path = getattr(args, "config", None)
+        config = datastore.load_config(path, reads) if path else datastore.RunConfig()
+        flags = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
         config = dataclasses.replace(config, **flags)  # a flag beats the config; validates all
-        if args.command == "graphs":
-            code = _cmd_graphs(args)
-        elif args.command == "props":
-            code = _cmd_props(args, config)
-        elif args.command == "qaoa":
-            code = _cmd_qaoa(args, config)
-        elif args.command == "analyze":
-            code = _cmd_analyze(args)
-        else:
-            code = _cmd_verify(args, config)
+        out = getattr(args, "out", None)
+        with _whole_file(out) if out else contextlib.nullcontext() as target:
+            if args.command == "graphs":
+                code = _cmd_graphs(args, target)
+            elif args.command == "props":
+                code = _cmd_props(args, config, target)
+            elif args.command == "qaoa":
+                code = _cmd_qaoa(args, config, target)
+            elif args.command == "analyze":
+                code = _cmd_analyze(args, target)
+            else:
+                code = _cmd_verify(args, config)
         sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
         return code
     except BrokenPipeError:  # the reader is gone: the exit flush drops what is still buffered
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BAD_ARGS
     except (OSError, ValueError) as exc:
-        # a FileNotFoundError on --out is a missing output directory
-        missing = isinstance(exc, FileNotFoundError) and exc.filename != getattr(args, "out", None)
+        # only an input is missing input: --out or its temporary file is a missing directory
+        inputs = [getattr(args, name, None) for name in ("infile", "props", "qaoa_file", "config")]
+        missing = isinstance(exc, FileNotFoundError) and exc.filename in inputs
         print(f"error: {'missing input: ' if missing else ''}{exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT if missing else EXIT_BAD_ARGS
 

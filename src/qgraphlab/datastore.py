@@ -23,7 +23,7 @@ import csv
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-from .analysis import GroupAverageRow
+from .analysis import CorrelationCell, GroupAverageRow
 from .graphs import EDGE, MAX_VERTICES, Graph, encode_graph6
 from .qaoa import DEFAULT_STARTS, AngleVector, OptimizerStats, QaoaOutcome
 
@@ -47,10 +47,6 @@ class SchemaError(ValueError):
 
 def fmt_real(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def _opt_real(x: float | None) -> str:
-    return "" if x is None else fmt_real(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,7 +155,9 @@ def _bool_from_text(text: str) -> bool:
 
 
 _INT = (str, int)
+_TEXT = (str, str)
 _REAL = (fmt_real, float)
+_OPT_REAL = (lambda x: "" if x is None else fmt_real(x), lambda text: float(text) if text else None)
 _BOOL = (lambda value: "1" if value else "0", _bool_from_text)
 
 
@@ -194,22 +192,17 @@ def _edge_from_text(text: str) -> tuple:
 # Codec of every field that is not a plain int; a numbered field's codec
 # is that of one element.
 _CODECS = {
-    "graph6": (str, str),
-    "bipartite": _BOOL,
-    "distance_regular": _BOOL,
-    "distance_regular_strict": _BOOL,
-    "eulerian": _BOOL,
+    **dict.fromkeys(["graph6", "property", "metric", "flag", "polarity"], _TEXT),
+    **dict.fromkeys(["bipartite", "eulerian", "distance_regular", "distance_regular_strict"],
+                    _BOOL),
+    **dict.fromkeys(["gammas", "betas", "exp_c", "prob_cmax", "ratio"], _REAL),
+    **dict.fromkeys(["delta_ratio", "r", "mean_prob", "mean_exp_c", "mean_ratio", "mean_delta"],
+                    _OPT_REAL),
     "cut_vertices": _seq(" "),
     "cycle_basis": _seq(";", _seq(" ", (_PAIR[0], _edge_from_text))),
     "degree_sequence": _seq(" "),
     "automorphism_generators": _seq(";", _seq(" ", wrap="()")),
     "orbits": _seq(";", _seq(" ")),
-    "gammas": _REAL,
-    "betas": _REAL,
-    "exp_c": _REAL,
-    "prob_cmax": _REAL,
-    "ratio": _REAL,
-    "delta_ratio": (_opt_real, lambda text: float(text) if text else None),
 }
 
 # Tuple fields stored one element per column: field -> (column prefix,
@@ -323,21 +316,17 @@ def read_qaoa_results(path: str) -> list[QaoaResultRow]:
 # ---------------------------------------------------------------------------
 
 
-def write_correlation_csv(cells, path: str) -> None:
-    _write_csv(path, ["n", "p", "property", "metric", "r", "sample_size"],
-               ([c.n, c.p, c.property, c.metric, _opt_real(c.r), c.sample_size] for c in cells))
+def write_correlation_csv(cells: list[CorrelationCell], path: str) -> None:
+    _write_rows(path, CorrelationCell, cells)
 
 
 def write_averages_csv(rows: list[GroupAverageRow], path: str) -> None:
-    _write_csv(path, ["n", "p", "flag", "polarity", "mean_prob", "mean_exp_c", "mean_ratio",
-                      "mean_delta"],
-               ([r.n, r.p, r.flag, r.polarity, fmt_real(r.mean_prob), fmt_real(r.mean_exp_c),
-                 fmt_real(r.mean_ratio), _opt_real(r.mean_delta)] for r in rows))
+    _write_rows(path, GroupAverageRow, rows)
 
 
 def write_histogram_csv(spec, path: str) -> None:
     _write_csv(path, ["bin_lo", "bin_hi", "subgroup", "fraction"],
-               ([fmt_real(lo), fmt_real(hi), subgroup, _opt_real(frac)]
+               ([fmt_real(lo), fmt_real(hi), subgroup, _OPT_REAL[0](frac)]
                 for subgroup, fractions in spec.fractions.items()
                 for lo, hi, frac in zip(spec.bin_edges, spec.bin_edges[1:], fractions)))
 

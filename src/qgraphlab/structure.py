@@ -1,9 +1,10 @@
 """Structural graph properties: distances, cliques, cut vertices,
 bipartite/Eulerian flags, distance regularity, and the simple-cycle census.
 
-`structure_profile` is the one entry point: it checks connectivity once and
-derives every flag from the breadth-first layers of each vertex, one BFS
-spanning tree and one cycle count.
+`structure_profile` is the one entry point: it derives every property from
+the breadth-first layers of each vertex (which also show connectivity), one
+BFS spanning tree, its fundamental cycle basis (which also gives the blocks
+and so the cut vertices) and one cycle count.
 Graphs are the bitmask graphs of :mod:`qgraphlab.graphs`, and every function
 is pure, so per-graph invocations can run concurrently.
 """
@@ -58,15 +59,16 @@ class StructureProfile:
 
 def structure_profile(g: Graph) -> StructureProfile:
     """Compute every structural property of one connected graph."""
-    if not is_connected(g):
-        raise DisconnectedGraphError(f"{_graph_name(g)} is not connected; structure properties "
-                                     f"are defined for connected graphs only")
     full = (1 << g.n) - 1
     layers = [list(_layers(g.adj, 1 << s, full)) for s in range(g.n)]  # [s][d]: distance d from s
+    if sum(layers[0]) != full:
+        raise DisconnectedGraphError(f"{_graph_name(g)} is not connected; structure properties "
+                                     f"are defined for connected graphs only")
     parent, depth = _bfs_tree(g)
+    basis = _cycle_basis(g, parent, depth)
     counts = _count_simple_cycles(g)
     degree_regular = len({tuple(map(int.bit_count, row)) for row in layers}) == 1
-    cuts = _cut_vertices(g)
+    cuts = _block_cut_vertices(g, basis)
     return StructureProfile(
         edges=g.edge_count,
         diameter=max(map(len, layers)) - 1,
@@ -81,7 +83,7 @@ def structure_profile(g: Graph) -> StructureProfile:
         cut_vertex_count=len(cuts),
         degree_sequence=tuple(sorted(g.degrees(), reverse=True)),
         cycle_counts=counts,
-        cycle_basis=_cycle_basis(g, parent, depth),
+        cycle_basis=basis,
         min_odd_cycle_count=next((c for k, c in counts.items() if k % 2 and c), 0),
     )
 
@@ -125,33 +127,28 @@ def _clique_number(adj: tuple[int, ...], cand: int, size: int, best: int) -> int
 # ---------------------------------------------------------------------------
 
 
-def _cut_vertices(g: Graph) -> tuple[int, ...]:
-    """Articulation points of a connected graph via the DFS lowpoint method, sorted ascending."""
-    cuts: set[int] = set()
-    _lowpoint(g.adj, 0, -1, [-1] * g.n, [0] * g.n, cuts, 0)
-    return tuple(sorted(cuts))
+def _block_cut_vertices(g: Graph, basis) -> tuple[int, ...]:
+    """Articulation points of a connected graph, ascending, from its cycle basis.
 
-
-def _lowpoint(adj: tuple[int, ...], v: int, parent: int, num: list[int], low: list[int],
-              cuts: set[int], counter: int) -> int:
-    """DFS from v, reached from parent (-1 at the root): numbers each new
-    vertex from counter on, sets its lowpoint and adds the cut vertices to
-    `cuts`; returns the next unused number."""
-    num[v] = low[v] = counter
-    counter += 1
-    children = 0
-    for w in _bits(adj[v]):
-        if num[w] == -1:
-            children += 1
-            counter = _lowpoint(adj, w, v, num, low, cuts, counter)
-            low[v] = min(low[v], low[w])
-            if parent != -1 and low[w] >= num[v]:
-                cuts.add(v)
-        elif w != parent:
-            low[v] = min(low[v], num[w])
-    if parent == -1 and children > 1:
-        cuts.add(v)
-    return counter
+    Two edges share a block exactly when a chain of basis cycles, each
+    sharing an edge with the next, joins them: every cycle is a sum of basis
+    cycles, and no proper part of a cycle is such a sum.  An edge on no
+    cycle is a block of its own, and a cut vertex is on edges of two blocks.
+    """
+    block = {}  # edge -> index of the last basis cycle chained to it
+    for i, cycle in enumerate(basis):
+        joined = {block[e] for e in cycle if e in block}
+        if joined:
+            for e, b in block.items():
+                if b in joined:
+                    block[e] = i
+        block.update(dict.fromkeys(cycle, i))
+    ids = [set() for _ in range(g.n)]  # the blocks of each vertex's edges
+    for edge in g.edges():
+        b = block.get(edge, edge)
+        ids[edge[0]].add(b)
+        ids[edge[1]].add(b)
+    return tuple(v for v, on in enumerate(ids) if len(on) > 1)
 
 
 def cut_vertices_by_deletion(g: Graph) -> list[int]:

@@ -143,7 +143,6 @@ GOLDEN_SIGN_GRID = {
     "group_size": ("", "", "", ""),
     "orbit_count": ("-", "-", "", ""),
 }
-_SIGN_METRIC_ORDER = ("exp_c", "prob_cmax", "ratio", "delta_ratio")
 
 
 def _flip(symbol: str) -> str:
@@ -312,7 +311,7 @@ def check_sign_grid(workers=None) -> CheckResult:
     symbols = sign_summary(cells)
     problems = []
     for prop, wants in GOLDEN_SIGN_GRID.items():
-        for metric, want in zip(_SIGN_METRIC_ORDER, wants):
+        for metric, want in zip(analysis.METRIC_NAMES, wants):
             if prop in _NEGATED_PROPERTIES:
                 want = _flip(want)
             if want and symbols[(prop, metric)] != want:
@@ -446,15 +445,13 @@ def check_pearson_properties() -> CheckResult:
 
 
 def check_cut_vertex_agreement() -> CheckResult:
-    mismatches = 0
-    total = 0
-    for n in range(3, 8):
-        for g in enumerate_connected(n):
-            total += 1
-            if list(structure_profile(g).cut_vertices) != cut_vertices_by_deletion(g):
-                mismatches += 1
-    return CheckResult("invariant/cut-vertex-agreement", mismatches == 0,
-                       f"{total} graphs, {mismatches} disagreements between lowpoint and deletion")
+    """Cut vertices, which the profile reads off its cycle basis (so this
+    checks the basis too), against vertex deletion."""
+    graphs = [g for n in range(3, 8) for g in enumerate_connected(n)]
+    mismatches = sum(list(structure_profile(g).cut_vertices) != cut_vertices_by_deletion(g)
+                     for g in graphs)
+    return CheckResult("invariant/cut-vertex-agreement", mismatches == 0, f"{len(graphs)} graphs, "
+                       f"{mismatches} disagreements between cycle-basis blocks and deletion")
 
 
 def check_bipartite_odd_cycles(workers=None) -> CheckResult:

@@ -121,7 +121,9 @@ class TestGroupAverages:
         member, non = group_averages(n4_rows, n4_uniform, 4, 0, "bipartite")
         assert member.mean_exp_c == pytest.approx(5 / 3, abs=5e-4)
         assert non.mean_exp_c == pytest.approx(2.5, abs=5e-4)
-        assert member.count + non.count == 6
+        # three bipartite classes and three others: the two subgroups cover all six graphs
+        total = sum(o.exp_c for o in n4_uniform)
+        assert 3 * (member.mean_exp_c + non.mean_exp_c) == pytest.approx(total)
         assert member.mean_delta is None and non.mean_delta is None
 
     def test_depth0_eulerian_means(self, n4_rows, n4_uniform):

@@ -93,6 +93,19 @@ class TestPipeline:
         lines = open(out).read().splitlines()
         assert len(lines) == 1 + 2 * 3
 
+    def test_analyze_avg_empty_subgroup_is_undefined(self, tmp_path):
+        # P4 is bipartite, so the non-member subgroup is empty and has no means
+        (tmp_path / "p4.g6").write_text("Ch\n")
+        g6, props, qaoa, out = (str(tmp_path / f) for f in ("p4.g6", "p.csv", "q.csv", "a.csv"))
+        assert main(["props", "--in", g6, "--out", props]) == 0
+        assert main(["qaoa", "--in", g6, "--p", "0", "--out", qaoa]) == 0
+        assert main(["analyze", "avg", "--props", props, "--qaoa", qaoa, "--flag", "bipartite",
+                     "--out", out]) == 0
+        lines = open(out).read().splitlines()
+        assert lines[0] == "n,p,flag,polarity,mean_prob,mean_exp_c,mean_ratio,mean_delta"
+        assert lines[1].startswith("4,0,bipartite,member,0.")
+        assert lines[2] == "4,0,bipartite,non-member,,,,"
+
     def test_analyze_avg_requires_flag(self, n4_run, capsys):
         tmp, _, props, qaoa = n4_run
         code = main(["analyze", "avg", "--props", props, "--qaoa", qaoa,
@@ -191,6 +204,39 @@ class TestExitCodes:
         out = tmp_path / "nodir" / "x.g6"
         assert main(["graphs", "gen", "--n", "4", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    @pytest.mark.parametrize("out", ["{dir}", "{dir}/nodir/x.csv"],
+                             ids=["directory", "missing-dir"])
+    def test_unusable_output_fails_before_any_work(self, tmp_path, capsys, out):
+        # the input is missing too, but the output is checked first
+        out = out.format(dir=tmp_path)
+        assert main(["props", "--in", str(tmp_path / "nope.g6"), "--out", out]) == 2
+        assert capsys.readouterr().err.endswith(f": '{out}'\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_command_leaves_output_untouched(self, n4_run, monkeypatch):
+        tmp, g6, _, _ = n4_run
+        out = tmp / "props.csv"
+        before, names = out.read_bytes(), sorted(os.listdir(tmp))
+
+        def partial_write(rows, path):
+            open(path, "w").write("graph_id\n")
+            raise ValueError("write failed")
+
+        monkeypatch.setattr("qgraphlab.datastore.write_dataset_file", partial_write)
+        assert main(["props", "--in", g6, "--out", str(out)]) == 2
+        assert out.read_bytes() == before and sorted(os.listdir(tmp)) == names
+
+    def test_symlinked_output_writes_its_target(self, tmp_path):
+        link, target = tmp_path / "link.g6", tmp_path / "target.g6"
+        target.write_text("")
+        link.symlink_to(target)
+        assert main(["graphs", "gen", "--n", "3", "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text().splitlines() == ["BW", "Bw"]
+
+    def test_device_output_is_written_in_place(self, monkeypatch):
+        monkeypatch.setattr(os, "replace", None)  # a rename onto the device would fail here
+        assert main(["graphs", "gen", "--n", "4", "--out", os.devnull]) == 0
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_closed_stdout_is_2_without_traceback(self, unbuffered):

@@ -2,14 +2,19 @@
 vertices (994 graphs), and every 40th class on 8 (278 graphs), against
 networkx, which shares no code with the structure and symmetry layers.  The
 deletion reference for cut vertices is checked too: it is the only caller of
-the breadth-first layers whose `alive` mask is not closed under adjacency."""
+the breadth-first layers whose `alive` mask is not closed under adjacency.
+Cut vertices are also checked on chosen graphs with 9..16 vertices."""
 
+import random
 from collections import Counter
 
 import networkx as nx
+import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from qgraphlab.graphs import encode_graph6, enumerate_connected
+from qgraphlab import structure
+from qgraphlab.graphs import (Graph, complete_graph, cycle_graph, encode_graph6,
+                              enumerate_connected, relabel, star_graph)
 from qgraphlab.structure import cut_vertices_by_deletion, structure_profile
 from qgraphlab.symmetry import automorphism_group
 
@@ -59,3 +64,61 @@ def test_every_40th_class_on_8_vertices_matches_networkx():
     mismatches = mismatches_against_networkx(graphs)
     assert len(graphs) == 278
     assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[:5]}"
+
+
+def profile_cut_vertices(g):
+    """The profile's cut vertices, read off its cycle basis without the
+    simple-cycle census, which would not finish on K16."""
+    return structure._block_cut_vertices(g, structure._cycle_basis(g, *structure._bfs_tree(g)))
+
+
+def random_tree_edges(rng, n):
+    return [(v, rng.randrange(v)) for v in range(1, n)]
+
+
+def sparse_connected(seed):
+    """A random tree on 9..16 vertices plus a few random extra edges."""
+    rng = random.Random(seed)
+    n = rng.randint(9, 16)
+    extra = [rng.sample(range(n), 2) for _ in range(rng.randint(1, n // 2))]
+    return Graph.from_edges(n, random_tree_edges(rng, n) + extra)
+
+
+def joined_cliques(n, cliques, extra):
+    """Complete graphs on the vertex tuples in `cliques`, plus the edges in `extra`."""
+    return Graph.from_edges(n, [(u, v) for c in cliques for u in c for v in c if u < v] + extra)
+
+
+LARGER = {
+    "friendship": Graph.from_edges(15, [e for t in range(1, 15, 2)
+                                        for e in ((0, t), (0, t + 1), (t, t + 1))]),
+    "k4-pair-with-tail": joined_cliques(9, [(0, 1, 2, 3), (3, 4, 5, 6)], [(6, 7), (7, 8)]),
+    "barbell-by-path": joined_cliques(10, [(0, 1, 2, 3), (6, 7, 8, 9)], [(3, 4), (4, 5), (5, 6)]),
+    "star": star_graph(12),
+    "random-tree": Graph.from_edges(16, random_tree_edges(random.Random(3), 16)),
+    "c9-pendant-paths": Graph.from_edges(15, cycle_graph(9).edges() + [
+        (0, 9), (3, 10), (10, 11), (6, 12), (12, 13), (13, 14)]),
+    "k16": complete_graph(16),
+    **{f"sparse-{seed}": sparse_connected(seed) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("g", LARGER.values(), ids=LARGER.keys())
+def test_cut_vertices_past_eight_vertices_match_networkx(g):
+    """Each graph as built and relabelled, against nx.articulation_points."""
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    for h in (g, relabel(g, perm)):
+        assert 9 <= h.n <= 16
+        G = nx.Graph(h.edges())
+        assert nx.is_connected(G)
+        assert profile_cut_vertices(h) == tuple(sorted(nx.articulation_points(G)))
+
+
+@pytest.mark.parametrize("g, cuts", [
+    (Graph(1, (0,)), ()),
+    (complete_graph(2), ()),
+    (joined_cliques(6, [(0, 1, 2), (3, 4, 5)], [(2, 3)]), (2, 3)),
+], ids=["n1", "k2", "triangles-joined-by-a-bridge"])
+def test_cut_vertex_edge_cases(g, cuts):
+    assert structure_profile(g).cut_vertices == cuts

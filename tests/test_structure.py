@@ -152,7 +152,7 @@ class TestCutVertices:
         assert structure_profile(star_graph(4)).cut_vertices == (0,)
         assert structure_profile(path_graph(4)).cut_vertices == (1, 2)
 
-    def test_lowpoint_equals_deletion(self):
+    def test_cycle_basis_blocks_equal_deletion(self):
         for n in (3, 4, 5, 6):
             for g in enumerate_connected(n):
                 assert list(structure_profile(g).cut_vertices) == cut_vertices_by_deletion(g)
