@@ -29,6 +29,7 @@ __all__ = [
     "PROPERTY_NAMES",
     "METRIC_NAMES",
     "HISTOGRAM_METRICS",
+    "SUBGROUP_FLAGS",
     "pearson",
     "property_value",
     "correlation_table",
@@ -60,6 +61,7 @@ PROPERTY_NAMES = (
 
 METRIC_NAMES = ("exp_c", "prob_cmax", "ratio", "delta_ratio")
 HISTOGRAM_METRICS = ("prob_cmax", "ratio", "delta_ratio")  # the metrics that lie in [0, 1]
+SUBGROUP_FLAGS = ("bipartite", "eulerian")
 
 
 @dataclass(frozen=True)
@@ -114,29 +116,32 @@ def pearson(x, y) -> float | None:
 
 def property_value(row, name: str) -> float:
     """Numeric encoding of one dataset-row property (booleans become 0/1)."""
-    if name == "distance_regular":
-        return float(row.distance_regular_strict)
-    value = getattr(row, name)
-    return float(value)
+    return float(getattr(row, "distance_regular_strict" if name == "distance_regular" else name))
+
+
+def _by_id(items, what: str) -> dict:
+    """The items keyed by graph id; raise naming the ids that repeat."""
+    counts = Counter(item.graph_id for item in items)
+    repeated = sorted(i for i, count in counts.items() if count > 1)
+    if repeated:
+        raise ValueError(f"graph ids repeated among {what}: {repeated}")
+    return {item.graph_id: item for item in items}
 
 
 def _paired(rows, outcomes, n: int, p: int):
     """Match rows to outcomes by graph id; raise if either side is missing,
-    or if an id repeats among the outcomes (ids restart at 1 for every n)."""
-    row_map = {row.graph_id: row for row in rows if row.n == n}
-    out_map = {o.graph_id: o for o in outcomes if o.p == p}
-    counts = Counter(o.graph_id for o in outcomes if o.p == p)
-    repeated = [i for i, count in counts.items() if count > 1]
-    if repeated:
-        raise ValueError(f"graph ids repeated among the p={p} outcomes (results of more than one "
-                         f"vertex count?): {sorted(repeated)}")
+    or if an id repeats on either side (ids restart at 1 for every n, and
+    for every graph6 file a props run reads)."""
+    row_map = _by_id([row for row in rows if row.n == n],
+                     f"the n={n} rows (props of more than one graph6 file?)")
+    out_map = _by_id([o for o in outcomes if o.p == p],
+                     f"the p={p} outcomes (results of more than one vertex count?)")
     missing = sorted(set(row_map) ^ set(out_map))
     if missing:
         raise MissingDataError(f"graphs present on only one side for n={n}, p={p}: {missing}")
     if not row_map:
         raise MissingDataError(f"no graphs with n={n}")
-    ids = sorted(row_map)
-    return [(row_map[i], out_map[i]) for i in ids]
+    return [(row_map[i], out_map[i]) for i in sorted(row_map)]
 
 
 def correlation_table(rows, outcomes, n: int, p: int) -> list[CorrelationCell]:
@@ -160,7 +165,7 @@ def _mean(values) -> float | None:
 
 def _subgroups(rows, outcomes, n: int, p: int, flag: str) -> dict[str, list]:
     """The paired outcomes of the flag's members and of its non-members."""
-    if flag not in ("bipartite", "eulerian", "distance_regular"):
+    if flag not in SUBGROUP_FLAGS:
         raise ValueError(f"unsupported subgroup flag {flag!r}")
     pairs = _paired(rows, outcomes, n, p)
     return {polarity: [o for row, o in pairs if bool(property_value(row, flag)) is keep]
@@ -188,8 +193,7 @@ def histogram(rows, outcomes, n: int, p: int, flag: str, metric: str = "prob_cma
     edges = np.linspace(0.0, 1.0, bins + 1)
     fractions: dict[str, tuple[float, ...]] = {}
     for polarity, sub in _subgroups(rows, outcomes, n, p, flag).items():
-        values = [getattr(o, metric) for o in sub]
-        values = [v for v in values if v is not None]
+        values = [v for v in (getattr(o, metric) for o in sub) if v is not None]
         counts, _ = np.histogram(values, bins=edges)
         total = counts.sum()
         fractions[polarity] = tuple(counts / total) if total else (None,) * bins

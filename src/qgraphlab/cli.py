@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     modes.add_parser("signs", parents=[inputs],
                      help=f"sign summary over depths {SUPPORTED_DEPTHS[0]}..{SUPPORTED_DEPTHS[-1]}")
     for mode in (avg, hist):
-        mode.add_argument("--flag", choices=["bipartite", "eulerian"], help="subgroup flag")
+        mode.add_argument("--flag", choices=analysis.SUBGROUP_FLAGS, help="subgroup flag")
     hist.add_argument("--bins", type=int, default=20, help="histogram bins (default 20)")
     hist.add_argument("--metric", default="prob_cmax", choices=list(analysis.HISTOGRAM_METRICS),
                       help="histogram metric (default prob_cmax)")
@@ -152,7 +152,7 @@ def _cmd_qaoa(args, config: datastore.RunConfig, out: str) -> int:
 
 def _cmd_analyze(args, out: str) -> int:
     if args.mode in ("avg", "hist") and not args.flag:
-        raise ValueError(f"analyze {args.mode} requires --flag bipartite|eulerian")
+        raise ValueError(f"analyze {args.mode} requires --flag {'|'.join(analysis.SUBGROUP_FLAGS)}")
     rows = datastore.read_dataset(args.props)
     results = datastore.read_qaoa_results(args.qaoa_file)
     sizes, depths = sorted({r.n for r in results}), sorted({r.p for r in results})

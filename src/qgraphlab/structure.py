@@ -4,7 +4,7 @@ bipartite/Eulerian flags, distance regularity, and the simple-cycle census.
 `structure_profile` is the one entry point: it derives every property from
 the breadth-first layers of each vertex (which also show connectivity), one
 BFS spanning tree, its fundamental cycle basis (which also gives the blocks
-and so the cut vertices) and one cycle count.
+and so the cut vertices) and a cycle census over (vertex set, end) pairs.
 Graphs are the bitmask graphs of :mod:`qgraphlab.graphs`, and every function
 is pure, so per-graph invocations can run concurrently.
 """
@@ -172,29 +172,24 @@ def cut_vertices_by_deletion(g: Graph) -> list[int]:
 
 
 def _count_simple_cycles(g: Graph) -> dict[int, int]:
-    """Count every simple cycle exactly once, keyed by length.
-
-    Each cycle is enumerated from its minimum vertex; the two traversal
-    directions are collapsed by requiring the second vertex on the path to
-    be smaller than the last.
-    """
-    counts: dict[int, int] = {k: 0 for k in range(3, g.n + 1)}
-    path = [0] * (g.n + 1)
-    for root in range(g.n):
-        path[0] = root
-        _walk(g.adj, path, counts, root, 1, 1 << root, ~((1 << (root + 1)) - 1))
-    return counts
-
-
-def _walk(adj: tuple[int, ...], path: list[int], counts: dict[int, int], v: int, depth: int,
-          visited: int, allowed: int) -> None:
-    """Extend the simple path path[:depth], ending at v, through the vertices
-    in `allowed` (those above the root path[0]), counting each cycle it closes."""
-    for w in _bits(adj[v] & allowed & ~visited):
-        path[depth] = w
-        if adj[w] >> path[0] & 1 and depth >= 2 and path[1] < w:
-            counts[depth + 1] += 1
-        _walk(adj, path, counts, w, depth + 1, visited | (1 << w), allowed)
+    """Count every simple cycle exactly once, keyed by length, with Held and
+    Karp's subset dynamic program: from each root s, `paths` maps (vertex set,
+    end) to the number of simple paths from s through that set of vertices
+    above s.  A path of k >= 3 vertices whose end is adjacent to s closes a
+    k-cycle with minimum vertex s, and each cycle closes once in each
+    direction.  At most 2^n n^2 steps, however many paths there are."""
+    counts = dict.fromkeys(range(3, g.n + 1), 0)
+    for s in range(g.n):
+        paths = {(1 << s | 1 << w, w): 1 for w in _bits(g.adj[s] & (-2 << s))}
+        for k in range(3, g.n - s + 1):
+            grown = {}
+            for (seen, v), count in paths.items():
+                for w in _bits(g.adj[v] & ~seen & (-2 << s)):
+                    key = (seen | 1 << w, w)
+                    grown[key] = grown.get(key, 0) + count
+            paths = grown
+            counts[k] += sum(count for (_, v), count in paths.items() if g.adj[v] >> s & 1)
+    return {k: count // 2 for k, count in counts.items()}
 
 
 def _bfs_tree(g: Graph) -> tuple[list[int], list[int]]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,13 @@ class TestCorrelationTable:
         with pytest.raises(ValueError, match=r"repeated .*\[1, 2, 3, .*, 21\]"):
             correlation_table(rows, res6 + res5, 6, 0)
 
+    def test_rows_with_repeated_ids_raise(self, n4_rows, n4_uniform):
+        # merged props files restart their ids at 1, and a dict keyed by id
+        # would silently keep the last row of each
+        extra = dataclasses.replace(n4_rows[-1], graph_id=1)
+        with pytest.raises(ValueError, match=r"repeated among the n=4 rows .*: \[1\]$"):
+            correlation_table(n4_rows + [extra], n4_uniform, 4, 0)
+
 
 class TestGroupAverages:
     def test_depth0_bipartite_means(self, n4_rows, n4_uniform):
@@ -139,6 +147,9 @@ class TestGroupAverages:
     def test_bad_flag(self, n4_rows, n4_uniform):
         with pytest.raises(ValueError, match="flag"):
             group_averages(n4_rows, n4_uniform, 4, 0, "diameter")
+        # a dataset column, but not one of the subgroup flags the CLI offers
+        with pytest.raises(ValueError, match="unsupported subgroup flag 'distance_regular'"):
+            group_averages(n4_rows, n4_uniform, 4, 0, "distance_regular")
 
 
 class TestHistogram:

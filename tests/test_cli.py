@@ -156,6 +156,26 @@ class TestPipeline:
                      "--out", str(tmp / "c.csv")])
         assert code == 2
 
+    def test_analyze_rejects_props_of_a_split_graph6_file(self, n4_run, capsys):
+        # each piece's ids restart at 1, so the merged rows repeat ids 1..3 and
+        # would pair the second piece's graphs with the first piece's results
+        tmp, g6, _, _ = n4_run
+        lines = open(g6).read().splitlines(keepends=True)
+        merged = []
+        for i, piece in enumerate((lines[:3], lines[3:])):
+            (tmp / f"piece{i}.g6").write_text("".join(piece))
+            out = tmp / f"props{i}.csv"
+            assert main(["props", "--in", str(tmp / f"piece{i}.g6"), "--out", str(out)]) == 0
+            merged += out.read_text().splitlines(keepends=True)[i > 0:]
+        (tmp / "merged.csv").write_text("".join(merged))
+        qaoa = str(tmp / "q0.csv")
+        assert main(["qaoa", "--in", str(tmp / "piece0.g6"), "--p", "0", "--out", qaoa]) == 0
+        code = main(["analyze", "corr", "--props", str(tmp / "merged.csv"), "--qaoa", qaoa,
+                     "--out", str(tmp / "c.csv")])
+        assert code == 2
+        assert "graph ids repeated among the n=4 rows" in capsys.readouterr().err
+        assert not (tmp / "c.csv").exists()
+
     def test_analyze_signs_needs_depth3(self, n4_run, capsys):
         tmp, _, props, qaoa = n4_run
         code = main(["analyze", "signs", "--props", props, "--qaoa", qaoa,

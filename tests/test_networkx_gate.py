@@ -3,7 +3,8 @@ vertices (994 graphs), and every 40th class on 8 (278 graphs), against
 networkx, which shares no code with the structure and symmetry layers.  The
 deletion reference for cut vertices is checked too: it is the only caller of
 the breadth-first layers whose `alive` mask is not closed under adjacency.
-Cut vertices are also checked on chosen graphs with 9..16 vertices."""
+Cut vertices and the simple-cycle census are also checked on chosen graphs
+with 9..16 vertices, through `structure_profile` itself."""
 
 import random
 from collections import Counter
@@ -12,7 +13,6 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from qgraphlab import structure
 from qgraphlab.graphs import (Graph, complete_graph, cycle_graph, encode_graph6,
                               enumerate_connected, relabel, star_graph)
 from qgraphlab.structure import cut_vertices_by_deletion, structure_profile
@@ -66,12 +66,6 @@ def test_every_40th_class_on_8_vertices_matches_networkx():
     assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[:5]}"
 
 
-def profile_cut_vertices(g):
-    """The profile's cut vertices, read off its cycle basis without the
-    simple-cycle census, which would not finish on K16."""
-    return structure._block_cut_vertices(g, structure._cycle_basis(g, *structure._bfs_tree(g)))
-
-
 def random_tree_edges(rng, n):
     return [(v, rng.randrange(v)) for v in range(1, n)]
 
@@ -105,14 +99,15 @@ LARGER = {
 
 @pytest.mark.parametrize("g", LARGER.values(), ids=LARGER.keys())
 def test_cut_vertices_past_eight_vertices_match_networkx(g):
-    """Each graph as built and relabelled, against nx.articulation_points."""
+    """Each graph as built and, where that differs, relabelled, against
+    nx.articulation_points."""
     perm = list(range(g.n))
     random.Random(g.n).shuffle(perm)
-    for h in (g, relabel(g, perm)):
+    for h in dict.fromkeys((g, relabel(g, perm))):  # K16 relabelled is K16
         assert 9 <= h.n <= 16
         G = nx.Graph(h.edges())
         assert nx.is_connected(G)
-        assert profile_cut_vertices(h) == tuple(sorted(nx.articulation_points(G)))
+        assert structure_profile(h).cut_vertices == tuple(sorted(nx.articulation_points(G)))
 
 
 @pytest.mark.parametrize("g, cuts", [
@@ -122,3 +117,12 @@ def test_cut_vertices_past_eight_vertices_match_networkx(g):
 ], ids=["n1", "k2", "triangles-joined-by-a-bridge"])
 def test_cut_vertex_edge_cases(g, cuts):
     assert structure_profile(g).cut_vertices == cuts
+
+
+@pytest.mark.parametrize("g", [g for name, g in LARGER.items() if name != "k16"],
+                         ids=[name for name in LARGER if name != "k16"])
+def test_cycle_census_past_eight_vertices_matches_networkx(g):
+    """Against nx.simple_cycles; K16's 1.9 x 10^12 cycles are left to the closed form
+    of test_structure."""
+    lengths = Counter(len(c) for c in nx.simple_cycles(nx.Graph(g.edges())))
+    assert structure_profile(g).cycle_counts == {k: lengths[k] for k in range(3, g.n + 1)}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter, deque
 
@@ -102,10 +103,7 @@ class TestDistances:
                 assert p.bipartite == nx.is_bipartite(G)
 
     @pytest.mark.parametrize("name", NAMED)
-    def test_named_graphs_beyond_the_study_sizes(self, name, monkeypatch):
-        # the 16-vertex graphs hold millions of simple cycles, and the fields
-        # checked here do not read the cycle census
-        monkeypatch.setattr(structure, "_count_simple_cycles", lambda g: {})
+    def test_named_graphs_beyond_the_study_sizes(self, name):
         G, flags = NAMED[name]
         G = nx.convert_node_labels_to_integers(G)
         g = Graph.from_edges(G.number_of_nodes(), G.edges())
@@ -248,6 +246,22 @@ class TestCycleCensus:
     def test_against_subset_scan(self):
         for g in enumerate_connected(5):
             assert structure_profile(g).cycle_counts == brute_force_cycles(g)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_complete_graph_closed_form(self, n):
+        # a k-cycle of K_n is a k-subset in one of its (k - 1)!/2 cyclic orders
+        want = {k: math.comb(n, k) * math.factorial(k - 1) // 2 for k in range(3, n + 1)}
+        assert structure_profile(complete_graph(n)).cycle_counts == want
+
+    @pytest.mark.parametrize("a, b", [(3, 3), (4, 5), (6, 6), (7, 8), (8, 8)])
+    def test_complete_bipartite_closed_form(self, a, b):
+        # a 2k-cycle alternates k vertices of each side: k! k! orders of the
+        # two k-subsets, over 2k starting points and 2 directions
+        want = dict.fromkeys(range(3, a + b + 1), 0)
+        for k in range(2, min(a, b) + 1):
+            orders = math.factorial(k) * math.factorial(k - 1) // 2
+            want[2 * k] = math.comb(a, k) * math.comb(b, k) * orders
+        assert structure_profile(complete_bipartite(a, b)).cycle_counts == want
 
     def test_basis_dimension(self):
         for g in enumerate_connected(6):
