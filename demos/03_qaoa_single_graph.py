@@ -7,13 +7,13 @@ half the remaining gap with one layer and all of it with two.
 
 import numpy as np
 
-from qgraphlab import (AngleVector, cycle_graph, evolve, expectation, grid_scan_p1,
+from qgraphlab import (AngleVector, cost_vector, cycle_graph, evolve, expectation, grid_scan_p1,
                        maxcut_bruteforce, run_depth_series)
 
 g = cycle_graph(4)
 mc = maxcut_bruteforce(g)
 print(f"C4: optimum cut {mc.cmax}, {mc.optimal_count} optimal assignments "
-      f"{[format(z, '04b') for z in np.flatnonzero(mc.optimal_mask)]}")
+      f"{[format(z, '04b') for z in np.flatnonzero(cost_vector(g) == mc.cmax)]}")
 
 # coarse landscape at depth 1
 print("\n<C> over a coarse (gamma, beta) slice:")

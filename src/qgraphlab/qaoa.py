@@ -3,8 +3,10 @@
 Bit i of a basis index z is the side of vertex i.  A layer applies
 exp(-i gamma C), C(z) the plain cut-edge count, then exp(-i beta sum_q X_q),
 starting from the uniform superposition.  One per-graph kernel, _Objective,
-serves evolve, the optimizer and the depth-1 grid oracle, on two exact
-reductions:
+serves evolve, the optimizer at every depth and the depth-1 grid oracle:
+_kernel keeps the last graph's, as maxcut_bruteforce keeps the last graph's
+two-integer summary, so a depth series builds each once.  The kernel rests
+on two exact reductions:
 
 * Z2 halving: C(z) = C(~z), and the uniform start and the mixer commute with
   X on every qubit, so amplitude[~z] = amplitude[z].  The kernel keeps only
@@ -77,11 +79,10 @@ GRID_POINTS = 64  # points per axis of the depth-1 grid oracle
 
 @dataclass(frozen=True)
 class MaxCutSummary:
-    """Exact optimum cut value and the set of optimal assignments."""
+    """Exact optimum cut value and the number of assignments that reach it."""
 
     cmax: int
     optimal_count: int
-    optimal_mask: np.ndarray  # bool, length 2**n
 
 
 def _wrap(x: float, period: float) -> float:
@@ -150,12 +151,13 @@ def cost_vector(g: Graph) -> np.ndarray:
     return (bits[:, u] != bits[:, v]).sum(axis=1, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=1)
 def maxcut_bruteforce(g: Graph) -> MaxCutSummary:
-    """Evaluate all 2^n assignments and keep the exact maximum."""
+    """Evaluate all 2^n assignments and keep the exact maximum; the last
+    graph's summary is kept, so a depth series brute-forces its graph once."""
     cost = cost_vector(g)
     cmax = int(cost.max())
-    mask = cost == cmax
-    return MaxCutSummary(cmax=cmax, optimal_count=int(mask.sum()), optimal_mask=mask)
+    return MaxCutSummary(cmax=cmax, optimal_count=int((cost == cmax).sum()))
 
 
 def _require_edges(g: Graph) -> None:
@@ -167,17 +169,6 @@ def _require_edges(g: Graph) -> None:
 # ---------------------------------------------------------------------------
 # The statevector kernel
 # ---------------------------------------------------------------------------
-
-
-@functools.cache
-def _hadamard_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """H on a half state's n - 1 qubits as lead kron trail: orthonormal Sylvester Hadamards
-    on ceil((n-1)/2) and floor((n-1)/2) qubits, trail also on (re, im) pairs; cached, read only."""
-    a, b = n // 2, (n - 1) // 2
-    signs = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * a, np.ones((1, 1)))
-    lead, trail = signs * 2.0 ** (-a / 2), np.kron(signs[:1 << b, :1 << b], np.eye(2)) * 2.0 ** (-b / 2)
-    lead.flags.writeable = trail.flags.writeable = False  # shared by every kernel of this n
-    return lead, trail
 
 
 class _Objective:
@@ -194,14 +185,28 @@ class _Objective:
     """
 
     def __init__(self, g: Graph):
+        self.graph = g
         half = 1 << (g.n - 1)
         ones = sum((np.arange(half) >> q & 1 for q in range(g.n - 1)), np.zeros(half, int))
         self.cost = cost_vector(g)[:half].astype(float)
         self.weight = g.n - 2.0 * (ones + ones % 2)  # sum_q X_q in the Hadamard basis
         self.cost_levels, self.cost_index = np.unique(self.cost, return_inverse=True)
         self.weight_levels, self.weight_index = np.unique(self.weight, return_inverse=True)
-        self.lead, self.trail = _hadamard_factors(g.n)
+        # H on the n - 1 qubits is lead kron trail: orthonormal Sylvester Hadamards on
+        # ceil((n-1)/2) and floor((n-1)/2) qubits, trail also on (re, im) pairs; the
+        # Sylvester sign at (i, j) is (-1)^|i & j|
+        a, b = g.n // 2, (g.n - 1) // 2
+        rows = np.arange(1 << a)
+        signs = 1.0 - 2.0 * (ones[rows[:, None] & rows] % 2)
+        self.lead = signs * 2.0 ** (-a / 2)
+        trail = signs[:1 << b, None, :1 << b, None] * np.eye(2)[:, None]  # kron(signs, eye(2))
+        self.trail = trail.reshape(2 << b, 2 << b) * 2.0 ** (-b / 2)
         self.uniform = np.full(half, 2.0 ** (-g.n / 2), dtype=complex)
+
+    @functools.cached_property
+    def start_key(self) -> int:
+        """The key of the graph's start streams, from one canonical search."""
+        return _start_key(canonical_form(self.graph))
 
     @staticmethod
     def _table(angle, levels) -> np.ndarray:
@@ -264,9 +269,17 @@ class _Objective:
         return (values, grad) if theta.ndim > 1 else (float(values[0]), grad[0])
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel(g: Graph) -> _Objective:
+    """g's kernel; the last graph's is kept, so every depth of a series, the
+    grid oracle and evolve share one.  Graphs compare without their ids, so
+    the kernel's own graph may carry another id: read ids off the caller's."""
+    return _Objective(g)
+
+
 def evolve(g: Graph, angles: AngleVector) -> np.ndarray:
     """Full 2^n statevector after p QAOA layers from the uniform superposition."""
-    half = _Objective(g).states(angles.gammas, angles.betas)
+    half = _kernel(g).states(angles.gammas, angles.betas)
     return np.concatenate([half, half[::-1]])
 
 
@@ -275,9 +288,10 @@ def expectation(g: Graph, sv: np.ndarray) -> float:
     return float(np.dot(cost_vector(g), np.abs(sv) ** 2))
 
 
-def prob_cmax(sv: np.ndarray, mc: MaxCutSummary) -> float:
-    """Total probability of measuring an optimal assignment."""
-    return float((np.abs(sv[mc.optimal_mask]) ** 2).sum())
+def prob_cmax(g: Graph, sv: np.ndarray) -> float:
+    """Total probability of measuring an optimal assignment of a full statevector."""
+    cost = cost_vector(g)
+    return float((np.abs(sv[cost == cost.max()]) ** 2).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +429,6 @@ def _start_key(form: str) -> int:
     return int.from_bytes(_sha256()(form.encode("ascii")).digest()[:8], "big")
 
 
-@functools.lru_cache(maxsize=1)
-def _graph_key(g: Graph) -> int:
-    """g's start key; the last graph's is kept, so the depths of one
-    run_depth_series search for its canonical form once."""
-    return _start_key(canonical_form(g))
-
-
 # Seeded starts.  Row idx of _start_points is what
 # np.random.default_rng([seed, digest, idx]).random(d) draws, rebuilt from
 # the algorithms that call defines, for all rows at once:
@@ -547,16 +554,15 @@ def optimize_angles(g: Graph, p: int, starts: int = DEFAULT_STARTS, seed: int = 
     if starts < 1:
         raise ValueError("starts must be >= 1")
     _require_edges(g)
-    objective = _Objective(g)
-    digest = _graph_key(g)
+    objective = _kernel(g)
     # uniform(0, hi) is 0 + hi * random(), so one draw of 2p doubles gives the
     # gammas in [0, 2pi) and then the betas in [0, pi)
-    points = _start_points(seed, digest, starts, 2 * p) * np.repeat([TWO_PI, np.pi], p)
+    points = _start_points(seed, objective.start_key, starts, 2 * p) * np.repeat([TWO_PI, np.pi], p)
     thetas, values, _, nfev = _lbfgsb(objective, np.vstack([points, *extra_starts]))
     best_start = int(np.argmax(values))
     value, theta = values[best_start], thetas[best_start]
     if p == 1:
-        gamma, beta, grid_value = _grid_scan(objective)
+        gamma, beta, grid_value = grid_scan_p1(g)
         if grid_value > value:
             value, theta, best_start = grid_value, np.array([gamma, beta]), -1
     stats = OptimizerStats(starts, best_start, int(nfev.sum()))
@@ -569,12 +575,7 @@ def grid_scan_p1(g: Graph) -> tuple[float, float, float]:
 
     Serves as the depth-1 global oracle; seed-independent by construction.
     """
-    return _grid_scan(_Objective(g))
-
-
-def _grid_scan(objective: _Objective) -> tuple[float, float, float]:
-    """grid_scan_p1 on a graph's kernel, which optimize_angles shares."""
-    grid = GRID_POINTS
+    objective, grid = _kernel(g), GRID_POINTS
     gammas = np.arange(grid) * (TWO_PI / grid)
     betas = np.arange(grid) * (np.pi / grid)
     step = max(1, EVAL_BLOCK // (grid * objective.uniform.size))  # gammas per slice
@@ -620,10 +621,9 @@ def run_depth_series(g: Graph, pmax: int, starts: int = DEFAULT_STARTS,
     """
     if not 0 <= pmax <= max(SUPPORTED_DEPTHS):
         raise ValueError(f"pmax must be within 0..{max(SUPPORTED_DEPTHS)}, got {pmax}")
-    mc = maxcut_bruteforce(g)
-    outcomes = [uniform_outcome(g, mc)]
+    outcomes = [uniform_outcome(g)]
     for p in range(1, pmax + 1):
         prev = outcomes[-1].best_angles
         warm = np.concatenate([prev.gammas, (0.0,), prev.betas, (0.0,)])
         outcomes.append(optimize_angles(g, p, starts, seed, extra_starts=(warm,)))
-    return metrics_bundle(g, mc, outcomes)
+    return metrics_bundle(g, maxcut_bruteforce(g), outcomes)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 import qgraphlab
-from qgraphlab import qaoa
+from qgraphlab import pipeline, qaoa
 from qgraphlab.graphs import (Graph, _all_classes, canonical_form, complete_graph, cycle_graph,
                               decode_graph6, enumerate_connected, path_graph, relabel, star_graph)
 from qgraphlab.qaoa import (AngleVector, _lbfgsb, _Objective, _start_key, _start_points, cost_vector,
@@ -95,6 +96,12 @@ class TestMaxCut:
         mc = maxcut_bruteforce(complete_graph(5))
         assert (mc.cmax, mc.optimal_count) == brute_force_maxcut(complete_graph(5)) == (6, 20)
 
+    def test_summaries_compare_and_hash(self):
+        g = enumerate_connected(6)[40]
+        a, b = maxcut_bruteforce(g), maxcut_bruteforce(relabel(g, (5, 3, 0, 4, 1, 2)))
+        assert a == b and hash(a) == hash(b)
+        assert a != maxcut_bruteforce(complete_graph(6))
+
     def test_whole_enumeration_n5(self):
         for g in enumerate_connected(5):
             mc = maxcut_bruteforce(g)
@@ -157,7 +164,7 @@ class TestEvolve:
         zero = AngleVector((0.0,) * 3, (0.0,) * 3)
         assert expectation(g, evolve(g, zero)) == pytest.approx(g.edge_count / 2, abs=1e-12)
         mc = maxcut_bruteforce(g)
-        assert prob_cmax(evolve(g, zero), mc) == pytest.approx(mc.optimal_count / 32, abs=1e-12)
+        assert prob_cmax(g, evolve(g, zero)) == pytest.approx(mc.optimal_count / 32, abs=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(0)
@@ -169,14 +176,13 @@ class TestEvolve:
 
     def test_periodicity(self):
         g = cycle_graph(5)
-        mc = maxcut_bruteforce(g)
         base = AngleVector((1.1,), (0.7,))
         shifted_gamma = evolve(g, AngleVector((1.1 + 2 * np.pi,), (0.7,)))
         shifted_beta = evolve(g, AngleVector((1.1,), (0.7 + np.pi,)))
         ref = evolve(g, base)
         for sv in (shifted_gamma, shifted_beta):
             assert abs(expectation(g, sv) - expectation(g, ref)) < 1e-10
-            assert abs(prob_cmax(sv, mc) - prob_cmax(ref, mc)) < 1e-10
+            assert abs(prob_cmax(g, sv) - prob_cmax(g, ref)) < 1e-10
 
 
 class TestKernelOracles:
@@ -220,7 +226,6 @@ class TestKernelOracles:
         psi = rng.normal(size=(3, 1 << q)) + 1j * rng.normal(size=(3, 1 << q))
         reference = psi @ (scipy.linalg.hadamard(1 << q) / 2 ** (q / 2))
         assert np.abs(objective._hadamard(psi) - reference).max() <= 1e-12
-        assert not objective.lead.flags.writeable and not objective.trail.flags.writeable  # shared per n
 
 
 class TestGradient:
@@ -493,7 +498,11 @@ class TestOptimization:
                 super().__init__(g)
 
         monkeypatch.setattr(qaoa, "_Objective", Counting)
-        optimize_angles(cycle_graph(4), 1, starts=3, seed=0)
+        qaoa._kernel.cache_clear()
+        g = cycle_graph(4)
+        run_depth_series(g, 3, starts=3, seed=0)
+        grid_scan_p1(g)
+        evolve(g, AngleVector((0.3,), (0.2,)))
         assert len(built) == 1
 
     def test_grid_never_beats_optimizer(self):
@@ -564,14 +573,47 @@ class TestMetricsBundle:
             return canonical_form(g)
 
         monkeypatch.setattr(qaoa, "canonical_form", counting)
-        qaoa._graph_key.cache_clear()
+        qaoa._kernel.cache_clear()
         g = enumerate_connected(5)[7]
         series = run_depth_series(g, 3, starts=4, seed=0)
         assert len(calls) == 1 and len(series) == 4
 
-    def test_delta_zero_when_no_progress(self):
-        from dataclasses import replace
+    def test_qaoa_rows_build_each_graph_once(self, monkeypatch):
+        # one cut vector for the MaxCut summary and one for the kernel, which
+        # every depth, the grid oracle and the start key share
+        calls = {"cost": 0, "kernel": 0, "canonical": 0}
 
+        def counting(name, f):
+            def wrapped(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapped
+
+        class Counting(_Objective):
+            def __init__(self, g):
+                calls["kernel"] += 1
+                super().__init__(g)
+
+        monkeypatch.setattr(qaoa, "cost_vector", counting("cost", cost_vector))
+        monkeypatch.setattr(qaoa, "canonical_form", counting("canonical", canonical_form))
+        monkeypatch.setattr(qaoa, "_Objective", Counting)
+        qaoa._kernel.cache_clear()
+        qaoa.maxcut_bruteforce.cache_clear()
+        rows = pipeline.qaoa_result_rows([enumerate_connected(6)[50]], 3, 4, 0, workers=1)
+        assert [r.p for r in rows] == [0, 1, 2, 3]
+        assert calls == {"cost": 2, "kernel": 1, "canonical": 1}
+
+    def test_shared_kernel_keeps_each_graph_id(self):
+        g = enumerate_connected(5)[7]
+        twin = Graph(g.n, g.adj, id=99)
+        assert twin == g and twin.id != g.id
+        qaoa._kernel.cache_clear()
+        first = run_depth_series(g, 2, starts=3, seed=0)
+        second = run_depth_series(twin, 2, starts=3, seed=0)
+        assert {o.graph_id for o in first} == {g.id} and {o.graph_id for o in second} == {99}
+        assert [replace(o, graph_id=None) for o in first] == [replace(o, graph_id=None) for o in second]
+
+    def test_delta_zero_when_no_progress(self):
         g = cycle_graph(4)
         mc = maxcut_bruteforce(g)
         base = uniform_outcome(g, mc)

@@ -249,9 +249,11 @@ class TestCycleCensus:
 
     @pytest.mark.parametrize("n", range(3, 17))
     def test_complete_graph_closed_form(self, n):
-        # a k-cycle of K_n is a k-subset in one of its (k - 1)!/2 cyclic orders
+        # a k-cycle of K_n is a k-subset in one of its (k - 1)!/2 cyclic orders,
+        # and deleting one vertex leaves K_(n-1), connected, so no vertex cuts
         want = {k: math.comb(n, k) * math.factorial(k - 1) // 2 for k in range(3, n + 1)}
-        assert structure_profile(complete_graph(n)).cycle_counts == want
+        profile = structure_profile(complete_graph(n))
+        assert profile.cycle_counts == want and profile.cut_vertices == ()
 
     @pytest.mark.parametrize("a, b", [(3, 3), (4, 5), (6, 6), (7, 8), (8, 8)])
     def test_complete_bipartite_closed_form(self, a, b):

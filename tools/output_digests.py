@@ -2,10 +2,13 @@
 
 The slice covers each command whose output is pinned byte for byte:
 `graphs gen` and `qaoa --p 0` for n = 3..8, `props` for n = 3..8 at one and
-two workers, `qaoa --p 3 --starts 8 --seed 3` on n = 4, and the four
-`analyze` modes on that n = 4 pair.  Each output gets one line,
-`<sha256>  <command>`, with the command as run inside a temporary
-directory.  Compare two trees by running it on each and diffing:
+two workers, `qaoa --p 3 --starts 8 --seed 3` on n = 4, and on n = 5 at one
+and two workers, the four `analyze` modes on the n = 4 pair, and the
+stdout of `verify golden` and `verify invariants`.  Each output gets one
+line, `<sha256>  <command>`, with the command as run inside a temporary
+directory; a digested stdout also names its exit code, since `verify
+golden` exits 1 on its expected-red checks.  Compare two trees by running
+it on each and diffing:
 
     PYTHONPATH=src python tools/output_digests.py > change.txt
     PYTHONPATH=../parent/src python tools/output_digests.py > parent.txt
@@ -30,7 +33,8 @@ SIZES = range(3, 9)
 
 
 def commands():
-    """(argv, output file) for every output of the slice, in run order."""
+    """(argv, output file) for every output of the slice, in run order; a
+    file of None stands for the command's stdout."""
     for n in SIZES:
         yield ["graphs", "gen", "--n", str(n), "--out", f"n{n}.g6"], f"n{n}.g6"
     for n in SIZES:
@@ -41,11 +45,17 @@ def commands():
         yield ["qaoa", "--in", f"n{n}.g6", "--p", "0", "--out", f"qaoa{n}-p0.csv"], f"qaoa{n}-p0.csv"
     yield (["qaoa", "--in", "n4.g6", "--p", "3", "--starts", "8", "--seed", "3",
             "--out", "qaoa4-p3.csv"], "qaoa4-p3.csv")
+    for workers in (1, 2):
+        out = f"qaoa5-p3-w{workers}.csv"
+        yield (["qaoa", "--in", "n5.g6", "--p", "3", "--starts", "8", "--seed", "3",
+                "--workers", str(workers), "--out", out], out)
     pair = ["--props", "props4-w1.csv", "--qaoa", "qaoa4-p3.csv"]
     for mode, extra in (("corr", []), ("avg", ["--flag", "bipartite"]),
                         ("hist", ["--flag", "eulerian"]), ("signs", [])):
         out = f"analyze-{mode}.csv"
         yield ["analyze", mode, *pair, *extra, "--out", out], out
+    for suite in ("golden", "invariants"):
+        yield ["verify", suite, "--workers", "2"], None
 
 
 def run() -> int:
@@ -54,16 +64,20 @@ def run() -> int:
         os.chdir(tmp)
         try:
             for argv, out in commands():
-                log = io.StringIO()
-                with contextlib.redirect_stderr(log):
+                log, stdout = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(log), contextlib.redirect_stdout(stdout):
                     code = main(argv)
-                if code != 0:
+                command = " ".join(argv)
+                if out is None:
+                    data, command = stdout.getvalue().encode(), f"{command} (exit {code})"
+                elif code != 0:
                     sys.stderr.write(log.getvalue())
-                    print(f"{' '.join(argv)} exited {code}", file=sys.stderr)
+                    print(f"{command} exited {code}", file=sys.stderr)
                     return code
-                with open(out, "rb") as f:
-                    digest = hashlib.sha256(f.read()).hexdigest()
-                print(f"{digest}  {' '.join(argv)}", flush=True)
+                else:
+                    with open(out, "rb") as f:
+                        data = f.read()
+                print(f"{hashlib.sha256(data).hexdigest()}  {command}", flush=True)
         finally:
             os.chdir(home)
     return 0
