@@ -382,6 +382,8 @@ def _all_classes(n: int) -> tuple[str, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _connected_forms(n: int) -> tuple[str, ...]:
+    if not ENUM_MIN_N <= n <= ENUM_MAX_N:
+        raise UnsupportedSizeError(f"enumeration supports {ENUM_MIN_N} <= n <= {ENUM_MAX_N}, got {n}")
     return tuple(bits for bits in _all_classes(n) if is_connected(_graph_from_bits(n, bits)))
 
 
@@ -391,15 +393,11 @@ def enumerate_connected(n: int) -> list[Graph]:
 
     Ids are assigned 1-based in that order.
     """
-    if not ENUM_MIN_N <= n <= ENUM_MAX_N:
-        raise UnsupportedSizeError(f"enumeration supports {ENUM_MIN_N} <= n <= {ENUM_MAX_N}, got {n}")
     return [_graph_from_bits(n, bits, i) for i, bits in enumerate(_connected_forms(n), start=1)]
 
 
 def connected_graph_count(n: int) -> int:
     """Number of isomorphism classes of connected graphs on n vertices."""
-    if not ENUM_MIN_N <= n <= ENUM_MAX_N:
-        raise UnsupportedSizeError(f"enumeration supports {ENUM_MIN_N} <= n <= {ENUM_MAX_N}, got {n}")
     return len(_connected_forms(n))
 
 

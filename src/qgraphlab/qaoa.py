@@ -3,10 +3,10 @@
 Bit i of a basis index z is the side of vertex i.  A layer applies
 exp(-i gamma C), C(z) the plain cut-edge count, then exp(-i beta sum_q X_q),
 starting from the uniform superposition.  One per-graph kernel, _Objective,
-serves evolve, the optimizer at every depth and the depth-1 grid oracle:
-_kernel keeps the last graph's, as maxcut_bruteforce keeps the last graph's
-two-integer summary, so a depth series builds each once.  The kernel rests
-on two exact reductions:
+serves evolve, expectation, prob_cmax, the optimizer at every depth and the
+depth-1 grid oracle: _kernel keeps the last graph's, as maxcut_bruteforce
+keeps the last graph's two-integer summary, so a depth series builds each
+once.  The kernel rests on two exact reductions:
 
 * Z2 halving: C(z) = C(~z), and the uniform start and the mixer commute with
   X on every qubit, so amplitude[~z] = amplitude[z].  The kernel keeps only
@@ -272,8 +272,9 @@ class _Objective:
 @functools.lru_cache(maxsize=1)
 def _kernel(g: Graph) -> _Objective:
     """g's kernel; the last graph's is kept, so every depth of a series, the
-    grid oracle and evolve share one.  Graphs compare without their ids, so
-    the kernel's own graph may carry another id: read ids off the caller's."""
+    grid oracle, evolve and the full-vector metrics share one.  Graphs
+    compare without their ids, so the kernel's own graph may carry another
+    id: read ids off the caller's."""
     return _Objective(g)
 
 
@@ -284,14 +285,16 @@ def evolve(g: Graph, angles: AngleVector) -> np.ndarray:
 
 
 def expectation(g: Graph, sv: np.ndarray) -> float:
-    """<C> of a full statevector."""
-    return float(np.dot(cost_vector(g), np.abs(sv) ** 2))
+    """<C> of a full statevector, with C off the kernel's half (C(z) = C(~z))."""
+    cost = _kernel(g).cost
+    return float(np.dot(np.concatenate([cost, cost[::-1]]), np.abs(sv) ** 2))
 
 
 def prob_cmax(g: Graph, sv: np.ndarray) -> float:
     """Total probability of measuring an optimal assignment of a full statevector."""
-    cost = cost_vector(g)
-    return float((np.abs(sv[cost == cost.max()]) ** 2).sum())
+    cost = _kernel(g).cost
+    best = np.concatenate([cost, cost[::-1]]) == cost.max()
+    return float((np.abs(sv[best]) ** 2).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,15 @@ deterministic depth-0 rows (see the repository notes):
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import analysis
 from .analysis import correlation_table, group_averages, pearson, sign_summary
-from .datastore import build_dataset_row
+from .datastore import DatasetRow, build_dataset_row
 from .graphs import (Graph, complete_bipartite, complete_graph, connected_graph_count,
                      cycle_graph, enumerate_connected, relabel)
 from .pipeline import dataset_rows, qaoa_result_rows
@@ -150,23 +151,14 @@ def _flip(symbol: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-n computations (cached across checks within one process)
+# Per-n tables, all from the pipeline at the suite's worker count
 # ---------------------------------------------------------------------------
 
-_ROWS_CACHE: dict[int, list] = {}
-_UNIFORM_CACHE: dict[int, list] = {}
 
-
-def _rows(n: int, workers: int | None = None):
-    if n not in _ROWS_CACHE:
-        _ROWS_CACHE[n] = dataset_rows(enumerate_connected(n), workers=workers)
-    return _ROWS_CACHE[n]
-
-
-def _uniform_outcomes(n: int):
-    if n not in _UNIFORM_CACHE:
-        _UNIFORM_CACHE[n] = [uniform_outcome(g) for g in enumerate_connected(n)]
-    return _UNIFORM_CACHE[n]
+@functools.cache
+def _rows(n: int, workers):
+    """Dataset rows of every n-vertex class, kept across checks within one process."""
+    return dataset_rows(enumerate_connected(n), workers=workers)
 
 
 def _optimized_rows(n: int, pmax: int, workers):
@@ -185,11 +177,11 @@ def check_counts() -> CheckResult:
     return CheckResult("golden/enumeration-counts", ok, f"counts {got}")
 
 
-def check_uniform_means() -> CheckResult:
+def check_uniform_means(workers=None) -> CheckResult:
     tol = 5e-4
     problems = []
     for (flag, n), (want_member, want_non) in GOLDEN_P0_MEANS.items():
-        member, non = group_averages(_rows(n), _uniform_outcomes(n), n, 0, flag)
+        member, non = group_averages(_rows(n, workers), _optimized_rows(n, 0, workers), n, 0, flag)
         for label, got, want in (("member", member.mean_exp_c, want_member),
                                  ("non-member", non.mean_exp_c, want_non)):
             if abs(got - want) > tol:
@@ -202,11 +194,11 @@ def check_uniform_means() -> CheckResult:
     return CheckResult("golden/uniform-means", not problems, detail)
 
 
-def check_uniform_correlations() -> list[CheckResult]:
+def check_uniform_correlations(workers=None) -> list[CheckResult]:
     out = []
     for n, (want_edges, want_diam, want_clique, want_minodd) in GOLDEN_P0_CORR.items():
         cells = {(c.property, c.metric): c.r
-                 for c in correlation_table(_rows(n), _uniform_outcomes(n), n, 0)}
+                 for c in correlation_table(_rows(n, workers), _optimized_rows(n, 0, workers), n, 0)}
         problems = []
         if abs(cells[("edges", "exp_c")] - want_edges) > 1e-9:
             problems.append(f"edges r={cells[('edges', 'exp_c')]}")
@@ -289,7 +281,7 @@ def check_correlation_grids(workers=None) -> CheckResult:
     checked = 0
     for (metric, n, p), wants in sorted(GOLDEN_CORR_ROWS.items()):
         cells = {(c.property, c.metric): c.r
-                 for c in correlation_table(_rows(n, workers=workers), outcomes[n], n, p)}
+                 for c in correlation_table(_rows(n, workers), outcomes[n], n, p)}
         for prop, want in zip(analysis.PROPERTY_NAMES, wants):
             if prop in _NEGATED_PROPERTIES:
                 want = -want
@@ -307,7 +299,7 @@ def check_sign_grid(workers=None) -> CheckResult:
     outcomes = _optimized_rows(8, 3, workers)
     cells = []
     for p in (1, 2, 3):
-        cells.extend(correlation_table(_rows(8, workers=workers), outcomes, 8, p))
+        cells.extend(correlation_table(_rows(8, workers), outcomes, 8, p))
     symbols = sign_summary(cells)
     problems = []
     for prop, wants in GOLDEN_SIGN_GRID.items():
@@ -322,8 +314,8 @@ def check_sign_grid(workers=None) -> CheckResult:
 
 def golden_suite(include_slow: bool = False, include_huge: bool = False,
                  workers=None) -> list[CheckResult]:
-    results = [check_counts(), check_uniform_means()]
-    results.extend(check_uniform_correlations())
+    results = [check_counts(), check_uniform_means(workers)]
+    results.extend(check_uniform_correlations(workers))
     results.append(check_distance_regular_probabilities())
     results.append(check_optimized_group_means(workers))
     if include_slow:
@@ -364,15 +356,20 @@ def check_zero_angle_expectation() -> CheckResult:
                        f"worst |<C> - |E|/2| = {worst:.2e}")
 
 
-def check_depth_monotonicity() -> CheckResult:
+def check_depth_monotonicity(workers=None) -> CheckResult:
     worst = 0.0
     for n in (3, 4, 5, 6):
-        for g in enumerate_connected(n):
-            series = run_depth_series(g, 3, starts=6, seed=0)
-            for prev, cur in zip(series, series[1:]):
+        rows = qaoa_result_rows(enumerate_connected(n), 3, 6, 0, workers)
+        for prev, cur in zip(rows, rows[1:]):
+            if prev.graph_id == cur.graph_id:
                 worst = max(worst, prev.exp_c - cur.exp_c)
     return CheckResult("invariant/depth-monotonicity", worst <= 1e-9,
                        f"worst decrease across depths = {worst:.2e}")
+
+
+# Every dataset field but those that name vertices is a graph invariant.
+_INVARIANT_FIELDS = tuple(f.name for f in fields(DatasetRow) if f.name not in (
+    "graph_id", "graph6", "cut_vertices", "cycle_basis", "automorphism_generators", "orbits"))
 
 
 def check_isomorphism_invariance() -> CheckResult:
@@ -394,10 +391,7 @@ def check_isomorphism_invariance() -> CheckResult:
             rng.shuffle(perm)
             h = relabel(g, perm)
             row = build_dataset_row(h, structure_profile(h), automorphism_group(h))
-            for name in ("edges", "diameter", "clique_number", "bipartite", "eulerian",
-                         "distance_regular", "distance_regular_strict", "cut_vertex_count",
-                         "degree_sequence", "group_size", "orbit_count",
-                         "cycle_count_by_len", "min_odd_cycle_count"):
+            for name in _INVARIANT_FIELDS:
                 if getattr(row, name) != getattr(base_row, name):
                     problems.append(f"graph {g.id} field {name} changes under relabeling")
             if sorted(len(o) for o in row.orbits) != sorted(len(o) for o in base_row.orbits):
@@ -442,12 +436,13 @@ def check_pearson_properties() -> CheckResult:
     return CheckResult("invariant/pearson-properties", not problems, detail)
 
 
-def check_cut_vertex_agreement() -> CheckResult:
+def check_cut_vertex_agreement(workers=None) -> CheckResult:
     """Cut vertices, which the profile reads off its cycle basis (so this
     checks the basis too), against vertex deletion."""
     graphs = [g for n in range(3, 8) for g in enumerate_connected(n)]
-    mismatches = sum(list(structure_profile(g).cut_vertices) != cut_vertices_by_deletion(g)
-                     for g in graphs)
+    rows = [row for n in range(3, 8) for row in _rows(n, workers)]
+    mismatches = sum(list(row.cut_vertices) != cut_vertices_by_deletion(g)
+                     for row, g in zip(rows, graphs, strict=True))
     return CheckResult("invariant/cut-vertex-agreement", mismatches == 0, f"{len(graphs)} graphs, "
                        f"{mismatches} disagreements between cycle-basis blocks and deletion")
 
@@ -456,7 +451,7 @@ def check_bipartite_odd_cycles(workers=None) -> CheckResult:
     bad = 0
     total = 0
     for n in range(3, 9):
-        for row in _rows(n, workers=workers):
+        for row in _rows(n, workers):
             total += 1
             has_odd = any(c and k % 2 == 1 for k, c in row.cycle_counts.items())
             if row.bipartite != (not has_odd):
@@ -469,9 +464,9 @@ def invariant_suite(workers=None) -> list[CheckResult]:
     return [
         check_statevector_norm(),
         check_zero_angle_expectation(),
-        check_depth_monotonicity(),
+        check_depth_monotonicity(workers),
         check_isomorphism_invariance(),
         check_pearson_properties(),
-        check_cut_vertex_agreement(),
-        check_bipartite_odd_cycles(workers=workers),
+        check_cut_vertex_agreement(workers),
+        check_bipartite_odd_cycles(workers),
     ]

@@ -26,10 +26,10 @@ class TestGoldenSuite:
         _report(verify.check_counts())
 
     def test_2_uniform_state_means(self):
-        _report(verify.check_uniform_means())
+        _report(verify.check_uniform_means(workers=2))
 
     def test_3_uniform_state_correlations(self):
-        results = [r for r in verify.check_uniform_correlations() if "min-odd" not in r.name]
+        results = [r for r in verify.check_uniform_correlations(workers=2) if "min-odd" not in r.name]
         _report(results)
 
     def test_3_uniform_state_correlations_min_odd(self):
@@ -40,7 +40,7 @@ class TestGoldenSuite:
         # Kept at the stated tolerance; see the expected-red checks in the
         # README ("Install and test") and the standing constraints in
         # ROADMAP.md.
-        results = [r for r in verify.check_uniform_correlations() if "min-odd" in r.name]
+        results = [r for r in verify.check_uniform_correlations(workers=2) if "min-odd" in r.name]
         _report(results)
 
     def test_4_distance_regular_probabilities(self):
@@ -66,7 +66,7 @@ class TestInvariantSuite:
         _report(verify.check_zero_angle_expectation())
 
     def test_7_depth_monotonicity(self):
-        _report(verify.check_depth_monotonicity())
+        _report(verify.check_depth_monotonicity(workers=2))
 
     def test_7_isomorphism_invariance(self):
         _report(verify.check_isomorphism_invariance())
@@ -75,7 +75,7 @@ class TestInvariantSuite:
         _report(verify.check_pearson_properties())
 
     def test_7_cut_vertex_agreement(self):
-        _report(verify.check_cut_vertex_agreement())
+        _report(verify.check_cut_vertex_agreement(workers=2))
 
     def test_7_bipartite_odd_cycles(self):
         _report(verify.check_bipartite_odd_cycles(workers=2))

@@ -425,6 +425,33 @@ class TestSettings:
                 check(workers=1)
         assert calls == [(DEFAULT_STARTS, 0, 1)] * 3
 
+    def test_suites_build_every_table_at_their_worker_count(self, monkeypatch):
+        calls = []
+
+        class Stop(Exception):
+            pass
+
+        def rows(graphs, workers):
+            calls.append(workers)
+            raise Stop
+
+        def results(graphs, pmax, starts, seed, workers):
+            calls.append(workers)
+            raise Stop
+
+        monkeypatch.setattr(verify, "dataset_rows", rows)
+        monkeypatch.setattr(verify, "qaoa_result_rows", results)
+        verify._rows.cache_clear()
+        for check in (verify.check_uniform_means, verify.check_uniform_correlations,
+                      verify.check_optimized_group_means, verify.check_correlation_grids,
+                      verify.check_sign_grid, verify.check_depth_monotonicity,
+                      verify.check_cut_vertex_agreement, verify.check_bipartite_odd_cycles,
+                      verify.golden_suite, verify.invariant_suite):
+            calls.clear()
+            with pytest.raises(Stop):
+                check(workers=1)
+            assert calls == [1], check.__name__
+
     @pytest.mark.parametrize("flag, value", [("--starts", "0"), ("--seed", "-1")])
     def test_qaoa_rejects_bad_flag(self, tmp_path, capsys, flag, value):
         g6 = tmp_path / "n4.g6"

@@ -184,6 +184,27 @@ class TestEvolve:
             assert abs(expectation(g, sv) - expectation(g, ref)) < 1e-10
             assert abs(prob_cmax(g, sv) - prob_cmax(g, ref)) < 1e-10
 
+    def test_full_vector_metrics_are_the_cost_vector_definitions(self):
+        # bit for bit, on evolved states and on vectors that are not flip-symmetric
+        rng = np.random.default_rng(4)
+        for g in connected_graphs_up_to(6):
+            cost = cost_vector(g)
+            ang = AngleVector(tuple(rng.uniform(0, 6.3, 2)), tuple(rng.uniform(0, 3.1, 2)))
+            noise = (1, 1j) @ rng.normal(size=(2, cost.size))
+            for sv in (evolve(g, ang), noise / np.linalg.norm(noise)):
+                assert expectation(g, sv) == float(np.dot(cost, np.abs(sv) ** 2))
+                assert prob_cmax(g, sv) == float((np.abs(sv[cost == cost.max()]) ** 2).sum())
+
+    def test_full_vector_metrics_read_the_kernel_cut_vector(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qaoa, "cost_vector", lambda g: calls.append(g) or cost_vector(g))
+        qaoa._kernel.cache_clear()
+        g = complete_graph(8)
+        sv = evolve(g, AngleVector((0.4,), (0.3,)))
+        expectation(g, sv)
+        prob_cmax(g, sv)
+        assert calls == [g]  # the kernel's own
+
 
 class TestKernelOracles:
     """evolve against references that share no code with the kernel."""

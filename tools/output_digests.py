@@ -4,11 +4,11 @@ The slice covers each command whose output is pinned byte for byte:
 `graphs gen` and `qaoa --p 0` for n = 3..8, `props` for n = 3..8 at one and
 two workers, `qaoa --p 3 --starts 8 --seed 3` on n = 4, and on n = 5 at one
 and two workers, the four `analyze` modes on the n = 4 pair, and the
-stdout of `verify golden` and `verify invariants`.  Each output gets one
-line, `<sha256>  <command>`, with the command as run inside a temporary
-directory; a digested stdout also names its exit code, since `verify
-golden` exits 1 on its expected-red checks.  Compare two trees by running
-it on each and diffing:
+stdout of `verify golden` and `verify invariants` at one and two workers.
+Each output gets one line, `<sha256>  <command>`, with the command as run
+inside a temporary directory; a digested stdout also names its exit code,
+since `verify golden` exits 1 on its expected-red checks.  Compare two
+trees by running it on each and diffing:
 
     PYTHONPATH=src python tools/output_digests.py > change.txt
     PYTHONPATH=../parent/src python tools/output_digests.py > parent.txt
@@ -55,7 +55,8 @@ def commands():
         out = f"analyze-{mode}.csv"
         yield ["analyze", mode, *pair, *extra, "--out", out], out
     for suite in ("golden", "invariants"):
-        yield ["verify", suite, "--workers", "2"], None
+        for workers in (1, 2):
+            yield ["verify", suite, "--workers", str(workers)], None
 
 
 def run() -> int:
