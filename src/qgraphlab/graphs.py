@@ -251,16 +251,11 @@ def is_connected(g: Graph) -> bool:
 _UNSET = 1 << 20  # above every column of n <= 16 vertices
 
 
-def _canonical_columns(n: int, adj: tuple[int, ...],
-                       bound: list[int] | None = None) -> list[int] | None:
-    """Columns of the canonical form, column k as a k-bit integer.
-
-    With `bound`, the columns of the labeling under test, the search takes
-    them as its incumbent and returns None at the first relabeling that
-    beats them; if none does, it returns `bound`, which is then canonical.
-    """
-    best = [0] + [_UNSET] * (n - 1) if bound is None else bound
-    return None if _beaten(adj, best, bound is not None, [], 0) else best
+def _canonical_columns(n: int, adj: tuple[int, ...]) -> list[int]:
+    """Columns of the canonical form, column k as a k-bit integer."""
+    best = [0] + [_UNSET] * (n - 1)
+    _beaten(adj, best, False, [], 0)
+    return best
 
 
 def _beaten(adj: tuple[int, ...], best: list[int], bounded: bool, placed: list[int],
@@ -350,9 +345,74 @@ def _graph_from_bits(n: int, bits: str, id: int | None = None) -> Graph:
 # in sorted order.  Disconnected graphs must be kept as parents (a
 # connected graph can have a disconnected vertex-deleted subgraph);
 # connectivity is filtered at the end.
+#
+# A parent P on k vertices (columns `cols`) tests all 2^k columns c of the
+# new vertex x = k at once.  A relabeling beats the extension at the first
+# position d where its column differs from the target (cols[d], or c at
+# d = k), and the vertices before d form a tie: each has the target's
+# column.  A tie of P-vertices only is a node of P's tie tree, which does
+# not depend on c, since no P-vertex's column involves x.  At such a node
+# no unplaced P-vertex has a column below cols[d], because P is canonical;
+# so only x can beat there, by a column below cols[d] (at d = k the prefix
+# is an automorphism of P and x's column is c permuted).  One walk of the
+# tree, carrying sets of columns as bitsets over c, finds those beatings,
+# and queues the columns whose x ties at a node: the rest of their search,
+# past the prefix with x appended, is the bounded `_beaten`.  Swapping two
+# structural twins of P is an automorphism of every extension that joins x
+# to both or to neither, so the second twin's subtree is walked only for
+# the columns that split them.
 
 ENUM_MIN_N = 3
 ENUM_MAX_N = 8
+
+
+@functools.cache
+def _near(k: int) -> tuple[int, ...]:
+    """near[u], for a new vertex x = k: the set, as a bitset over the 2^k
+    columns c, of the c that join x to u (bit k-1-u of c: vertex 0 first)."""
+    return tuple(sum(1 << c for c in range(1 << k) if c >> (k - 1 - u) & 1) for u in range(k))
+
+
+def _extensions(k: int, bits: str) -> list[int]:
+    """The columns c, in increasing order, that extend the canonical form
+    `bits` on k >= 1 vertices to a canonical form on k + 1."""
+    parent = _graph_from_bits(k, bits).adj
+    cols = [0] + [int(bits[j * (j - 1) // 2:j * (j + 1) // 2], 2) for j in range(1, k)]
+    near, every, full = _near(k), (1 << (1 << k)) - 1, (1 << k) - 1
+    # the target's bits at each position, as column sets: cols[d], or c
+    targets = [[-(cols[d] >> (d - 1 - j) & 1) & every for j in range(d)] for d in range(k)] + [near]
+    # twins[v]: the u < v that are structural twins of v in P
+    twins = [sum(1 << u for u in range(v) if (parent[u] ^ parent[v]) & ~(1 << u | 1 << v) == 0)
+             for v in range(k)]
+    beaten, ties, stack = 0, [], [([], 0, every)]
+    while stack and beaten != every:
+        prefix, placed, live = stack.pop()
+        d = len(prefix)
+        # x's column in prefix order ties with the target on `eq` and is
+        # smaller on `lt`; `kids` are the P-vertices that tie
+        eq, lt, kids = live & ~beaten, 0, full & ~placed
+        for u, t in zip(prefix, targets[d]):
+            lt |= eq & t & ~near[u]
+            eq &= ~(near[u] ^ t)
+            kids &= parent[u] if t else ~parent[u]
+        beaten |= lt
+        if d < k:
+            if eq:
+                ties.append((prefix, placed, eq))
+            for v in _bits(kids):
+                # an earlier twin u's subtree covers the c that join x to both or neither
+                keep = live
+                for u in _bits(twins[v] & kids):
+                    keep &= near[u] ^ near[v]
+                if keep & ~beaten:
+                    stack.append((prefix + [v], placed | 1 << v, keep))
+    for prefix, placed, tied in ties:
+        for c in _bits(tied & ~beaten):
+            subset = int(format(c, f"0{k}b")[::-1], 2)  # x's neighbours as a vertex mask
+            adj = tuple(row | (subset >> v & 1) << k for v, row in enumerate(parent)) + (subset,)
+            if _beaten(adj, cols + [c], True, prefix + [k], placed | 1 << k):
+                beaten |= 1 << c
+    return list(_bits(every & ~beaten))
 
 
 @functools.lru_cache(maxsize=None)
@@ -361,23 +421,8 @@ def _all_classes(n: int) -> tuple[str, ...]:
     not), in sorted order."""
     if n == 1:
         return ("",)
-    k = n - 1  # the new vertex
-    # column c joins vertex k to u iff bit k-1-u of c is set (vertex 0 first)
-    subsets = [sum((c >> (k - 1 - u) & 1) << u for u in range(k)) for c in range(1 << k)]
-    out = []
-    for bits in _all_classes(k):
-        parent = _graph_from_bits(k, bits).adj
-        cols = [0] + [int(bits[j * (j - 1) // 2:j * (j + 1) // 2], 2) for j in range(1, k)]
-        for c, subset in enumerate(subsets):
-            # The new vertex moved to position j (0 < j < k), the prefix kept,
-            # has column c >> (k - j) there; a smaller one than cols[j] beats
-            # c, so the bounded search would return None.
-            if any(c >> (k - j) < cols[j] for j in range(1, k)):
-                continue
-            adj = tuple(row | (subset >> v & 1) << k for v, row in enumerate(parent)) + (subset,)
-            if _canonical_columns(n, adj, cols + [c]) is not None:
-                out.append(bits + format(c, f"0{k}b"))
-    return tuple(out)
+    k = n - 1
+    return tuple(bits + format(c, f"0{k}b") for bits in _all_classes(k) for c in _extensions(k, bits))
 
 
 @functools.lru_cache(maxsize=None)

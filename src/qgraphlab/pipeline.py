@@ -8,9 +8,10 @@ never change the output files.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 from .datastore import DatasetRow, QaoaResultRow, build_dataset_row
-from .graphs import Graph
+from .graphs import EDGE, Graph
 from .qaoa import _require_edges, maxcut_bruteforce, run_depth_series
 from .structure import structure_profile
 from .symmetry import automorphism_group
@@ -53,7 +54,12 @@ def _run(task, jobs, workers: int):
 
 def dataset_rows(graphs: list[Graph], workers: int | None = None) -> list[DatasetRow]:
     """Structure + symmetry rows for a batch of graphs (sorted by id)."""
-    rows = _run(_props_task, graphs, resolve_workers(workers))
+    workers = resolve_workers(workers)
+    rows = _run(_props_task, graphs, workers)
+    if workers > 1 and len(graphs) > 1:
+        # a pool's rows arrive unpickled, with edge tuples of their own
+        rows = [replace(r, cycle_basis=tuple(tuple(EDGE[u][v] for u, v in cycle) for cycle in r.cycle_basis))
+                for r in rows]
     return sorted(rows, key=lambda r: r.graph_id)
 
 

@@ -12,6 +12,7 @@ from qgraphlab.datastore import (DatasetRow, QaoaResultRow, RunConfig, SchemaErr
                                  read_qaoa_results, write_dataset_file, write_qaoa_results,
                                  fmt_real)
 from qgraphlab.graphs import EDGE, enumerate_connected
+from qgraphlab.pipeline import dataset_rows
 from qgraphlab.qaoa import maxcut_bruteforce, run_depth_series
 from qgraphlab.structure import StructureProfile, structure_profile
 from qgraphlab.symmetry import AutomorphismSummary, automorphism_group
@@ -138,6 +139,15 @@ class TestSharedEdges:
             for row in back:
                 for cycle in row.cycle_basis:
                     self.assert_shared(cycle)
+
+    def test_pool_rows_share_edge_tuples(self):
+        # a process pool unpickles each chunk of rows with its own tuples;
+        # dataset_rows hands them back as EDGE's
+        rows = dataset_rows(enumerate_connected(6), workers=2)
+        assert rows == rows_for(6)
+        for row in rows:
+            for cycle in row.cycle_basis:
+                self.assert_shared(cycle)
 
     def test_table(self):
         for v in range(len(EDGE)):

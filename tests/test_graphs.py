@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgraphlab.graphs import (Graph, Graph6Error, UnsupportedSizeError, _all_classes,
-                              _canonical_columns, canonical_form, complete_bipartite,
-                              complete_graph, connected_graph_count, cycle_graph, decode_graph6,
-                              encode_graph6, enumerate_connected, is_connected, path_graph,
-                              read_graph6_file, relabel, star_graph, write_graph6_file)
+                              _extensions, _graph_from_bits, _triangle, canonical_form,
+                              complete_bipartite, complete_graph, connected_graph_count,
+                              cycle_graph, decode_graph6, encode_graph6, enumerate_connected,
+                              is_connected, path_graph, read_graph6_file, relabel, star_graph,
+                              write_graph6_file)
 from qgraphlab.structure import structure_profile
 from qgraphlab.symmetry import automorphism_group
 
@@ -208,19 +209,29 @@ class TestCanonicalForm:
 
     def test_exhaustive_classes_n4(self):
         # canonical forms partition all labeled 4- and 5-vertex graphs into
-        # the known 11 and 34 isomorphism classes, and the bounded search
-        # accepts a labeling's own columns iff they are the canonical form
+        # the known 11 and 34 isomorphism classes, and orderly generation's
+        # per-parent test keeps a new-vertex column c of a class on 3 or 4
+        # vertices iff the extension's own bits are its canonical form
         for n, classes in ((4, 11), (5, 34)):
             m = n * (n - 1) // 2
-            forms = set()
-            for word in range(1 << m):
-                g = bits_graph(n, [(word >> i) & 1 for i in range(m)])
-                form = canonical_form(g)
-                forms.add(form)
-                bits = "".join(str(g.adj[v] >> u & 1) for v in range(1, n) for u in range(v))
-                cols = [0] + [int(bits[j * (j - 1) // 2:j * (j + 1) // 2], 2) for j in range(1, n)]
-                assert (_canonical_columns(n, g.adj, cols) is not None) == (bits == form)
+            forms = {canonical_form(bits_graph(n, [(word >> i) & 1 for i in range(m)]))
+                     for word in range(1 << m)}
             assert len(forms) == classes
+            k = n - 1
+            for bits in _all_classes(k):
+                kept = _extensions(k, bits)
+                for c in range(1 << k):
+                    own = bits + format(c, f"0{k}b")
+                    assert (c in kept) == (canonical_form(bits_graph(n, [int(b) for b in own])) == own)
+        # The empty parent on 3 vertices with x joined to 0 and 2 (column
+        # 101) is beaten only by relabelings that keep x last, where the
+        # parent's part is an automorphism and x's column is 101 permuted:
+        # (1, 2, 0, x) puts old vertex 1 first and reads 000 011.
+        assert 0b101 not in _extensions(3, "000")
+        g = bits_graph(4, [int(b) for b in "000101"])
+        assert _triangle(4, relabel(g, [2, 0, 1, 3]).adj) == "000011"
+        beating = [p for p in itertools.permutations(range(4)) if _triangle(4, relabel(g, p).adj) < "000101"]
+        assert beating and all(p[3] == 3 for p in beating)
 
 
 class TestEnumeration:
@@ -258,6 +269,17 @@ class TestEnumeration:
         for n in (2, 9):
             with pytest.raises(UnsupportedSizeError):
                 enumerate_connected(n)
+
+    @pytest.mark.slow
+    def test_n9_counts_out_of_sample(self):
+        # Past ENUM_MAX_N, where no check was tuned: 274,668 graphs on 9
+        # vertices, 261,080 of them connected (OEIS A000088, A001349).
+        # About half a minute; the uncached call keeps the n = 9 forms out
+        # of the enumeration cache.
+        forms = _all_classes.__wrapped__(9)
+        assert len(forms) == 274668
+        assert list(forms) == sorted(set(forms))
+        assert sum(is_connected(_graph_from_bits(9, bits)) for bits in forms) == 261080
 
 
 class TestEnumerationAgainstAtlas:
